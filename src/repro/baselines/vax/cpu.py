@@ -10,7 +10,6 @@ register-window comparison cares about.
 from __future__ import annotations
 
 import dataclasses
-import warnings
 from collections import Counter
 
 from repro.baselines.vax.isa import (
@@ -23,40 +22,19 @@ from repro.baselines.vax.isa import (
     VaxOpcodeInfo,
 )
 from repro.baselines.vax.timing import VaxTiming
-from repro.core.api import (
-    SNAPSHOT_SCHEMA_VERSION,
-    MachineHalted,
-    RunResult,
-    StepLimitExceeded,
-    pack_bytes,
-    register_stats_type,
-    resolve_engine,
-    resolve_max_steps,
-    unpack_bytes,
-)
+from repro.core.api import MMIO_BASE, MachineShell, register_stats_type
 from repro.core.program import Program
 from repro.machine.memory import Memory
 from repro.machine.traps import Trap, TrapKind
-from repro.obs.events import EventKind
-from repro.obs.tracer import NULL_TRACER
 
 WORD = 0xFFFFFFFF
 SIGN = 0x80000000
-
-MMIO_BASE = 0x7F000000
-MMIO_PUTCHAR = MMIO_BASE + 0x0
-MMIO_PUTINT = MMIO_BASE + 0x4
-MMIO_HALT = MMIO_BASE + 0xC
 
 
 def _signed(value: int, bits: int = 32) -> int:
     mask = (1 << bits) - 1
     value &= mask
     return value - (1 << bits) if value & (1 << (bits - 1)) else value
-
-
-#: The halt signal is the unified API's — kept under the old internal name.
-_Halt = MachineHalted
 
 
 @dataclasses.dataclass
@@ -113,38 +91,18 @@ class VaxStats:
 register_stats_type("cisc", VaxStats)
 
 
-class VaxExecutionResult(RunResult):
-    """Deprecated alias for :class:`repro.core.api.RunResult`.
-
-    Kept so pre-unification callers and cached farm artifacts still load;
-    new code should construct and consume :class:`RunResult`.
-    """
-
-    def __init__(self, exit_code: int, stats: VaxStats, output: str):
-        warnings.warn(
-            "VaxExecutionResult is deprecated; use repro.core.api.RunResult",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        super().__init__(machine="cisc", exit_code=exit_code, output=output, stats=stats)
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> RunResult:
-        """Load a result payload, including legacy ones with no machine tag."""
-        return RunResult.from_dict(payload, default_machine="cisc")
-
-
 @dataclasses.dataclass
 class _Operand:
     kind: str  # "reg", "mem", "imm"
     value: int  # register number, address, or immediate value
 
 
-class VaxCPU:
+class VaxCPU(MachineShell):
     """The VAX-like processor attached to a memory.
 
-    Implements the unified :class:`repro.core.api.Machine` protocol, the
-    same surface as the RISC I :class:`~repro.core.cpu.CPU`.
+    Implements the unified :class:`repro.core.api.Machine` protocol
+    through :class:`~repro.core.api.MachineShell`, the same surface as
+    the RISC I :class:`~repro.core.cpu.CPU`.
     """
 
     #: machine tag used in unified result payloads
@@ -159,17 +117,11 @@ class VaxCPU:
         decode_cache: bool = True,
     ):
         # real VAX permits unaligned operands, so no alignment trap here
-        self.memory = Memory(memory_size, check_alignment=False)
+        memory = Memory(memory_size, check_alignment=False)
+        super().__init__(memory, VaxStats(), tracer, metrics)
         self.regs = [0] * 16
         self.timing = timing or VaxTiming()
-        self.stats = VaxStats()
-        self.metrics = metrics
-        self._install_tracer(tracer)
-        self._halted = False
-        self._exit_code: int | None = None
-        self.pc = 0
         self.n = self.z = self.v = self.c = False
-        self._console: list[str] = []
         self._depth = 1
         self._stack_top = memory_size - 16
         #: pc -> (info, length, cycles, operand evaluators, branch_disp):
@@ -188,114 +140,26 @@ class VaxCPU:
         self._cache_hi = 0  # one past the highest cached byte
         self.memory.write_watch = self._note_code_write
 
-    def _install_tracer(self, tracer) -> None:
-        """Resolve the tracer once; the step loop only tests booleans."""
-        self.tracer = tracer if tracer is not None else NULL_TRACER
-        wants = self.tracer.wants
-        self._trace_retire = wants(EventKind.RETIRE)
-        self._trace_mem = wants(EventKind.MEM_REF)
-        self._trace_flow = wants(EventKind.CALL) or wants(EventKind.RET)
-        self._trace_trap = wants(EventKind.TRAP)
-
     def load(self, program: Program) -> None:
-        for segment in program.segments:
-            self.memory.load_image(segment.base, segment.data)
-        self.pc = program.entry
-        self._halted = False
-        self._exit_code = None
+        super().load(program)
         self.regs[SP] = self._stack_top
         self.regs[FP] = self._stack_top
         self.regs[AP] = self._stack_top
 
     # -- execution --------------------------------------------------------------
 
-    @property
-    def halted(self) -> bool:
-        """True once the loaded program has executed its halt."""
-        return self._halted
-
-    @property
-    def exit_code(self) -> int | None:
-        return self._exit_code
-
-    def _halt(self, code: int) -> None:
-        self._halted = True
-        self._exit_code = code
-        raise _Halt(code)
-
-    def run(
-        self,
-        max_instructions: int | None = None,
-        *,
-        max_steps: int | None = None,
-        tracer=None,
-        engine: str | None = None,
-        record=None,
-        uarch=None,
-    ) -> RunResult:
-        """Run until the program halts.
-
-        Exceeding the step budget raises :class:`StepLimitExceeded` with
-        the partial stats attached.  ``max_instructions`` is the
-        deprecated spelling of ``max_steps``.  ``engine`` selects the
-        execution path — ``"fast"`` (default) uses the per-PC operand
-        decode cache, ``"reference"`` re-parses every instruction; both
-        are differentially identical.  ``record`` opts this run into the
-        persistent run ledger (``True``, a ledger root path, or a
-        :class:`~repro.obs.ledger.Ledger`); ``None`` defers to
-        ``$REPRO_LEDGER``.  ``uarch`` opts the run into the pipeline
-        timing model (same forms as the RISC I ``run``); the resulting
-        :class:`~repro.uarch.pipeline.PipelineStats` is attached as
-        ``result.pipeline``.
-        """
-        import time as _time
-
-        limit = resolve_max_steps(max_instructions, max_steps)
-        if tracer is not None:
-            self._install_tracer(tracer)
+    def _run_steps(self, limit: int, engine: str) -> None:
+        """``"fast"`` replays the per-PC operand decode cache,
+        ``"reference"`` re-parses every instruction."""
         use_cache_before = self._use_cache
         # ``decode_cache=False`` at construction is a hard off-switch;
         # otherwise the engine selection decides
-        engine_name = resolve_engine(engine)
-        self._use_cache = use_cache_before and engine_name == "fast"
-        probe = None
-        if uarch is not None and uarch is not False:
-            from repro.uarch import PipelineModel, attach_pipeline, resolve_uarch
-
-            config = resolve_uarch(uarch)
-            probe = attach_pipeline(
-                self, PipelineModel(config, machine=self.name, tracer=self.tracer)
-            )
-        started = _time.perf_counter()
+        self._use_cache = use_cache_before and engine == "fast"
         try:
             for _ in range(limit):
                 self.step()
-            raise StepLimitExceeded(limit, pc=self.pc, stats=self.stats)
-        except _Halt as halt:
-            wall_s = _time.perf_counter() - started
-            result = RunResult(self.name, halt.code, "".join(self._console), self.stats)
-            if probe is not None:
-                result.pipeline = probe.finalize()[0]
-            if self.metrics is not None:
-                from repro.obs.metrics import record_machine_run
-
-                record_machine_run(self.metrics, result)
-            from repro.obs.ledger import maybe_record_run
-
-            maybe_record_run(
-                result,
-                engine=engine_name,
-                wall_s=wall_s,
-                record=record,
-                metrics=self.metrics,
-            )
-            return result
         finally:
             self._use_cache = use_cache_before
-            if probe is not None:
-                from repro.uarch import detach_pipeline
-
-                detach_pipeline(self, probe)
 
     def step(self) -> None:
         pc = self.pc
@@ -367,63 +231,20 @@ class VaxCPU:
 
     # -- snapshot / restore ------------------------------------------------------
 
-    def snapshot(self) -> dict:
-        """Complete architectural state, JSON-safe and bit-exact.
+    # The operand decode cache is *not* state — it is rebuilt on demand and
+    # cleared on restore (the restored memory may hold different bytes).
 
-        The operand decode cache is *not* state — it is rebuilt on demand
-        and cleared by :meth:`restore` (the restored memory may hold
-        different instruction bytes).
-        """
+    def _snapshot_state(self) -> dict:
         return {
-            "schema": SNAPSHOT_SCHEMA_VERSION,
-            "machine": self.name,
-            "pc": self.pc,
-            "halted": self._halted,
-            "exit_code": self._exit_code,
-            "console": "".join(self._console),
             "depth": self._depth,
             "regs": list(self.regs),
             "flags": [self.n, self.z, self.v, self.c],
-            "stats": self.stats.to_dict(),
-            "memory": {
-                "size": self.memory.size,
-                "data": pack_bytes(self.memory._bytes),
-                "inst_fetches": self.memory.stats.inst_fetches,
-                "data_reads": self.memory.stats.data_reads,
-                "data_writes": self.memory.stats.data_writes,
-            },
         }
 
-    def restore(self, state: dict) -> None:
-        """Install a :meth:`snapshot`; the register list and memory bytes
-        are updated in place (cached operand evaluators hold references)."""
-        if state.get("machine") != self.name:
-            raise ValueError(
-                f"snapshot is for machine {state.get('machine')!r}, not {self.name!r}"
-            )
-        if state.get("schema") != SNAPSHOT_SCHEMA_VERSION:
-            raise ValueError(f"unsupported snapshot schema {state.get('schema')!r}")
-        memory = state["memory"]
-        if memory["size"] != self.memory.size:
-            raise ValueError(
-                f"snapshot memory is {memory['size']} bytes, "
-                f"this CPU has {self.memory.size}"
-            )
-        image = unpack_bytes(memory["data"])
-        if len(image) != self.memory.size:
-            raise ValueError("snapshot memory image does not match its declared size")
-        self.pc = state["pc"]
-        self._halted = state["halted"]
-        self._exit_code = state["exit_code"]
-        self._console = [state["console"]] if state["console"] else []
+    def _restore_state(self, state: dict) -> None:
         self._depth = state["depth"]
         self.regs[:] = state["regs"]
         self.n, self.z, self.v, self.c = state["flags"]
-        self.stats = VaxStats.from_dict(state["stats"])
-        self.memory._bytes[:] = image
-        self.memory.stats.inst_fetches = memory["inst_fetches"]
-        self.memory.stats.data_reads = memory["data_reads"]
-        self.memory.stats.data_writes = memory["data_writes"]
         self._decode_cache.clear()
         self._cache_lo = self.memory.size
         self._cache_hi = 0
@@ -485,11 +306,6 @@ class VaxCPU:
             return (lambda: _Operand("mem", (regs[reg] + disp) & WORD)), "disp"
         raise Trap(TrapKind.ILLEGAL_INSTRUCTION, f"operand specifier {spec:#04x}", pc=self.pc)
 
-    def _decode_operand(self, width: int) -> tuple[_Operand, str]:
-        """Parse and evaluate one specifier (the historical eager form)."""
-        evaluate, mode_family = self._predecode_operand(width)
-        return evaluate(), mode_family
-
     def _note_code_write(self, address: int, width: int = 4) -> None:
         """Drop cached decodings when a store may have touched one.
 
@@ -540,29 +356,14 @@ class VaxCPU:
         if self._trace_mem:
             self.tracer.mem_ref(self.stats.cycles, self.pc, address, "w", width)
 
+    def _mmio_store(self, address: int, value: int, width: int = 4) -> None:
+        self.stats.data_writes += 1  # VAX stats count stores directly
+        super()._mmio_store(address, value, width, self.pc)
+
     def _address(self, operand: _Operand) -> int:
         if operand.kind != "mem":
             raise Trap(TrapKind.ILLEGAL_INSTRUCTION, "address operand must reference memory")
         return operand.value
-
-    def _mmio_store(self, address: int, value: int, width: int = 4) -> None:
-        self.stats.data_writes += 1
-        self.memory.stats.data_writes += 1  # charged like any other store
-        # emitted before the store takes effect so the halting store (and
-        # a trapping one) still appears in the trace — keeping the MEM_REF
-        # stream in lockstep with the data_writes counter
-        if self._trace_mem:
-            self.tracer.mem_ref(self.stats.cycles, self.pc, address, "w", width)
-        if address == MMIO_PUTCHAR:
-            self._console.append(chr(value & 0xFF))
-        elif address == MMIO_PUTINT:
-            self._console.append(str(_signed(value)))
-        elif address == MMIO_HALT:
-            self._halt(_signed(value))
-        else:
-            raise Trap(
-                TrapKind.BUS_ERROR, f"unknown MMIO address {address:#x}", pc=self.pc
-            )
 
     # -- flags ----------------------------------------------------------------------
 

@@ -122,7 +122,6 @@ def compile_program(
 
 def run_compiled(
     compiled: CompiledProgram,
-    max_instructions: int | None = None,
     *,
     max_steps: int | None = None,
     tracer=None,
@@ -152,6 +151,4 @@ def run_compiled(
 
         cpu = VaxCPU(tracer=tracer, metrics=metrics)
     cpu.load(compiled.program)
-    return cpu.run(
-        max_instructions, max_steps=max_steps, engine=engine, record=record, uarch=uarch
-    )
+    return cpu.run(max_steps=max_steps, engine=engine, record=record, uarch=uarch)

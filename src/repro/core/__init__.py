@@ -15,7 +15,7 @@ from repro.core.api import (
     StepLimitExceeded,
     resolve_engine,
 )
-from repro.core.cpu import CPU, ExecutionResult
+from repro.core.cpu import CPU
 from repro.core.program import Program, Segment
 from repro.core.stats import ExecutionStats
 from repro.core.timing import RiscTiming
@@ -24,7 +24,6 @@ __all__ = [
     "CPU",
     "DEFAULT_ENGINE",
     "DEFAULT_MAX_STEPS",
-    "ExecutionResult",
     "ExecutionStats",
     "Machine",
     "MachineHalted",

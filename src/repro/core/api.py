@@ -17,9 +17,10 @@ The contract:
 * ``to_dict()``/``from_dict()`` on :class:`RunResult` is the one result
   schema, machine-tagged so the right stats class round-trips.
 
-The legacy names (``ExecutionResult``, ``VaxExecutionResult``, the
-``max_instructions`` keyword) still work as thin deprecation shims so
-pre-existing callers and cached farm artifacts keep loading.
+:class:`MachineShell` is the part of that contract both processors share
+word for word — ``run()`` orchestration, ``halted``/``exit_code``, the
+tracer flags and the snapshot envelope — so each machine supplies only
+its execute step and its own register and flag state.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ from __future__ import annotations
 import base64
 import dataclasses
 import os
+import time
 import zlib
 from typing import Any, Protocol, runtime_checkable
 
@@ -37,6 +39,7 @@ __all__ = [
     "DEFAULT_MAX_STEPS",
     "Machine",
     "MachineHalted",
+    "MachineShell",
     "RESULT_SCHEMA_VERSION",
     "RunResult",
     "SNAPSHOT_SCHEMA_VERSION",
@@ -45,7 +48,6 @@ __all__ = [
     "pack_bytes",
     "register_stats_type",
     "resolve_engine",
-    "resolve_max_steps",
     "stats_type",
     "unpack_bytes",
 ]
@@ -70,6 +72,21 @@ DEFAULT_ENGINE = "fast"
 
 #: Bump on any backwards-incompatible :meth:`Machine.snapshot` change.
 SNAPSHOT_SCHEMA_VERSION = 1
+
+#: Memory-mapped I/O, a stand-in for the paper's (unspecified) system
+#: environment, identical on both machines: a store to ``MMIO_PUTCHAR``
+#: emits one character, to ``MMIO_PUTINT`` a signed decimal number, and
+#: to ``MMIO_HALT`` ends the run with the stored value as exit code.
+MMIO_BASE = 0x7F000000
+MMIO_PUTCHAR = MMIO_BASE + 0x0
+MMIO_PUTINT = MMIO_BASE + 0x4
+MMIO_HALT = MMIO_BASE + 0xC
+
+
+def to_signed(value: int) -> int:
+    """Interpret a 32-bit pattern as a signed integer."""
+    value &= 0xFFFFFFFF
+    return value - (1 << 32) if value & 0x80000000 else value
 
 
 def pack_bytes(data: bytes | bytearray) -> str:
@@ -126,17 +143,6 @@ class StepLimitExceeded(Trap):
         super().__init__(TrapKind.HALT, f"instruction limit of {limit} reached", pc=pc)
         self.limit = limit
         self.stats = stats
-
-
-def resolve_max_steps(max_instructions: int | None, max_steps: int | None) -> int:
-    """Merge the legacy and current step-budget keywords into one value."""
-    if max_steps is not None:
-        if max_instructions is not None and max_instructions != max_steps:
-            raise TypeError("pass max_steps or max_instructions, not conflicting both")
-        return max_steps
-    if max_instructions is not None:
-        return max_instructions
-    return DEFAULT_MAX_STEPS
 
 
 # -- the stats-type registry -------------------------------------------------
@@ -211,15 +217,9 @@ class RunResult:
         return payload
 
     @classmethod
-    def from_dict(cls, payload: dict, default_machine: str | None = None) -> "RunResult":
-        """Rebuild from :meth:`to_dict` output.
-
-        Legacy (schema-1) payloads carry no ``machine`` tag; pass
-        ``default_machine`` to load them.
-        """
-        machine = payload.get("machine", default_machine)
-        if machine is None:
-            raise KeyError("result payload has no 'machine' tag and no default was given")
+    def from_dict(cls, payload: dict) -> "RunResult":
+        """Rebuild from :meth:`to_dict` output."""
+        machine = payload["machine"]
         stats = stats_type(machine).from_dict(payload["stats"])
         pipeline = None
         if payload.get("pipeline") is not None:
@@ -256,7 +256,6 @@ class Machine(Protocol):
 
     def run(
         self,
-        max_instructions: int | None = None,
         *,
         max_steps: int | None = None,
         tracer=None,
@@ -264,7 +263,8 @@ class Machine(Protocol):
         record=None,
         uarch=None,
     ) -> RunResult:
-        """Run to halt (or raise :class:`StepLimitExceeded`).
+        """Run to halt, or raise :class:`StepLimitExceeded` carrying the
+        synced partial stats once ``max_steps`` run out.
 
         ``engine`` picks the execution path (see :data:`VALID_ENGINES`);
         ``None`` defers to ``$REPRO_ENGINE`` / :data:`DEFAULT_ENGINE`.
@@ -296,3 +296,223 @@ class Machine(Protocol):
     def restore(self, state: dict) -> None:
         """Install a :meth:`snapshot`; raises ``ValueError`` on mismatch."""
         ...
+
+
+# -- the shared machine shell ------------------------------------------------
+
+
+class MachineShell:
+    """The :class:`Machine` behaviour both processors share.
+
+    It owns the state every machine has — memory, stats, ``pc``, console
+    output, the halt flag and exit code, tracer and metrics.  A subclass
+    supplies:
+
+    * :meth:`_run_steps` — its execute step, run for at most ``limit``
+      instructions under the resolved engine;
+    * :meth:`_snapshot_state` / :meth:`_restore_state` — its own
+      register and flag state inside the common snapshot envelope;
+    * :meth:`_sync_memory_stats` — when it folds counters lazily.
+    """
+
+    name: str
+
+    def __init__(self, memory, stats, tracer=None, metrics=None):
+        self.memory = memory
+        self.stats = stats
+        self.metrics = metrics
+        self._install_tracer(tracer)
+        self._halted = False
+        self._exit_code: int | None = None
+        self.pc = 0
+        self._console: list[str] = []
+        #: the last-loaded program (the RISC I fast engine predecodes it)
+        self._program = None
+
+    def _install_tracer(self, tracer) -> None:
+        """Resolve the tracer once; the step loops only test booleans."""
+        from repro.obs.events import EventKind
+        from repro.obs.tracer import NULL_TRACER
+
+        self.tracer = tracer if tracer is not None else NULL_TRACER
+        wants = self.tracer.wants
+        self._trace_retire = wants(EventKind.RETIRE)
+        self._trace_mem = wants(EventKind.MEM_REF)
+        self._trace_flow = wants(EventKind.CALL) or wants(EventKind.RET)
+        self._trace_window = wants(EventKind.WINDOW_OVERFLOW) or wants(
+            EventKind.WINDOW_UNDERFLOW
+        )
+        self._trace_trap = wants(EventKind.TRAP)
+
+    def load(self, program) -> None:
+        """Load a program image and reset execution state."""
+        for segment in program.segments:
+            self.memory.load_image(segment.base, segment.data)
+        self.pc = program.entry
+        self._halted = False
+        self._exit_code = None
+        self._program = program
+
+    @property
+    def halted(self) -> bool:
+        """True once the loaded program has executed its halt."""
+        return self._halted
+
+    @property
+    def exit_code(self) -> int | None:
+        return self._exit_code
+
+    def run(
+        self,
+        *,
+        max_steps: int | None = None,
+        tracer=None,
+        engine: str | None = None,
+        record=None,
+        uarch=None,
+    ) -> RunResult:
+        """:meth:`Machine.run`: the step budget defaults to
+        :data:`DEFAULT_MAX_STEPS`, and a ``tracer`` passed here stays
+        installed after the run."""
+        limit = DEFAULT_MAX_STEPS if max_steps is None else max_steps
+        if tracer is not None:
+            self._install_tracer(tracer)
+        engine_name = resolve_engine(engine)
+        probe = None
+        if uarch is not None and uarch is not False:
+            from repro.uarch import PipelineModel, attach_pipeline, resolve_uarch
+
+            probe = attach_pipeline(
+                self,
+                PipelineModel(resolve_uarch(uarch), machine=self.name, tracer=self.tracer),
+            )
+        started = time.perf_counter()
+        try:
+            self._run_steps(limit, engine_name)
+            self._sync_memory_stats()
+            raise StepLimitExceeded(limit, pc=self.pc, stats=self.stats)
+        except MachineHalted as halt:
+            wall_s = time.perf_counter() - started
+            self._sync_memory_stats()
+            result = RunResult(self.name, halt.code, "".join(self._console), self.stats)
+            if probe is not None:
+                result.pipeline = probe.finalize()[0]
+            if self.metrics is not None:
+                from repro.obs.metrics import record_machine_run
+
+                record_machine_run(self.metrics, result)
+            from repro.obs.ledger import maybe_record_run
+
+            maybe_record_run(
+                result,
+                engine=engine_name,
+                wall_s=wall_s,
+                record=record,
+                metrics=self.metrics,
+            )
+            return result
+        finally:
+            if probe is not None:
+                from repro.uarch import detach_pipeline
+
+                detach_pipeline(self, probe)
+
+    def _run_steps(self, limit: int, engine: str) -> None:
+        """Execute up to ``limit`` instructions; :class:`MachineHalted` ends early."""
+        raise NotImplementedError
+
+    def _halt(self, code: int) -> None:
+        self._halted = True
+        self._exit_code = code
+        raise MachineHalted(code)
+
+    def _mmio_store(self, address: int, value: int, width: int, pc: int) -> None:
+        """A store at or above :data:`MMIO_BASE`, made by the instruction at ``pc``."""
+        self.memory.stats.data_writes += 1  # charged like any other store
+        # the event is emitted before the store takes effect so the halting
+        # store (and a trapping one) still appears in the trace — keeping
+        # the MEM_REF stream in lockstep with the data_writes counter
+        if self._trace_mem:
+            self.tracer.mem_ref(self.stats.cycles, pc, address, "w", width)
+        if address == MMIO_PUTCHAR:
+            self._console.append(chr(value & 0xFF))
+        elif address == MMIO_PUTINT:
+            self._console.append(str(to_signed(value)))
+        elif address == MMIO_HALT:
+            self._halt(to_signed(value))
+        else:
+            raise Trap(TrapKind.BUS_ERROR, f"unknown MMIO address {address:#x}", pc=pc)
+
+    def _sync_memory_stats(self) -> None:
+        """Fold lazily kept counters into ``stats`` (nothing to fold by default)."""
+
+    # -- snapshot / restore ------------------------------------------------
+
+    def snapshot(self) -> dict:
+        """Complete architectural state, JSON-safe and bit-exact.
+
+        Stats counters are synced first (idempotent), so a snapshot taken
+        after manual ``step()``-ing and one taken after a ``run()`` chunk
+        covering the same steps are identical.
+        """
+        self._sync_memory_stats()
+        return {
+            "schema": SNAPSHOT_SCHEMA_VERSION,
+            "machine": self.name,
+            "pc": self.pc,
+            "halted": self._halted,
+            "exit_code": self._exit_code,
+            "console": "".join(self._console),
+            **self._snapshot_state(),
+            "stats": self.stats.to_dict(),
+            "memory": {
+                "size": self.memory.size,
+                "data": pack_bytes(self.memory._bytes),
+                "inst_fetches": self.memory.stats.inst_fetches,
+                "data_reads": self.memory.stats.data_reads,
+                "data_writes": self.memory.stats.data_writes,
+            },
+        }
+
+    def restore(self, state: dict) -> None:
+        """Install a :meth:`snapshot` taken from a machine of the same shape.
+
+        Shared mutable structures (register storage, the memory
+        bytearray) are updated in place, never replaced — cached engine
+        closures and operand evaluators hold references to them.  Every
+        check runs before anything is written, so a rejected snapshot
+        leaves the machine untouched.
+        """
+        if state.get("machine") != self.name:
+            raise ValueError(
+                f"snapshot is for machine {state.get('machine')!r}, not {self.name!r}"
+            )
+        if state.get("schema") != SNAPSHOT_SCHEMA_VERSION:
+            raise ValueError(f"unsupported snapshot schema {state.get('schema')!r}")
+        memory = state["memory"]
+        if memory["size"] != self.memory.size:
+            raise ValueError(
+                f"snapshot memory is {memory['size']} bytes, "
+                f"this CPU has {self.memory.size}"
+            )
+        image = unpack_bytes(memory["data"])
+        if len(image) != self.memory.size:
+            raise ValueError("snapshot memory image does not match its declared size")
+        self._restore_state(state)
+        self.pc = state["pc"]
+        self._halted = state["halted"]
+        self._exit_code = state["exit_code"]
+        self._console = [state["console"]] if state["console"] else []
+        self.stats = type(self.stats).from_dict(state["stats"])
+        self.memory._bytes[:] = image
+        self.memory.stats.inst_fetches = memory["inst_fetches"]
+        self.memory.stats.data_reads = memory["data_reads"]
+        self.memory.stats.data_writes = memory["data_writes"]
+
+    def _snapshot_state(self) -> dict:
+        """This machine's own registers and flags, JSON-safe."""
+        raise NotImplementedError
+
+    def _restore_state(self, state: dict) -> None:
+        """Check, then install, what :meth:`_snapshot_state` captured."""
+        raise NotImplementedError

@@ -129,7 +129,7 @@ def main(argv: list[str] | None = None) -> int:
     if args.trace is not None:
         from repro.core.trace import trace_run
 
-        trace = trace_run(cpu, max_instructions=args.max_instructions)
+        trace = trace_run(cpu, max_steps=args.max_instructions)
         print(trace.render(limit=args.trace), file=sys.stderr)
         if trace.result is None:
             print("(instruction limit reached)", file=sys.stderr)
@@ -142,7 +142,7 @@ def main(argv: list[str] | None = None) -> int:
 
         with ledger_context(workload=Path(args.source).name, source="cli"):
             result = cpu.run(
-                max_instructions=args.max_instructions,
+                max_steps=args.max_instructions,
                 engine=args.engine,
                 record=args.ledger,
                 uarch=args.uarch,

@@ -17,33 +17,20 @@ Software conventions (used by the assembler runtime and the compiler):
 * the return value travels back in the shared register pair
   callee-``r26`` / caller-``r10``.
 
-I/O and program exit use memory-mapped stores, a stand-in for the paper's
-(unspecified) system environment:
-
-* store to ``MMIO_PUTCHAR`` emits one character;
-* store to ``MMIO_PUTINT`` emits a signed decimal number;
-* store to ``MMIO_HALT`` ends the run with the stored value as exit code.
+I/O and program exit use the memory-mapped stores of :mod:`repro.core.api`
+(``MMIO_PUTCHAR``, ``MMIO_PUTINT``, ``MMIO_HALT``).
 """
 
 from __future__ import annotations
 
-import warnings
 from functools import lru_cache
 from typing import Callable
 
 from repro.isa.conditions import Cond, ConditionCodes, cond_holds
 from repro.isa.encoding import Instruction, decode
 from repro.isa.opcodes import Opcode
-from repro.core.api import (
-    SNAPSHOT_SCHEMA_VERSION,
-    MachineHalted,
-    RunResult,
-    StepLimitExceeded,
-    pack_bytes,
-    resolve_engine,
-    resolve_max_steps,
-    unpack_bytes,
-)
+from repro.core.api import MMIO_BASE, MachineHalted, MachineShell, to_signed
+from repro.core.api import MMIO_HALT, MMIO_PUTCHAR, MMIO_PUTINT  # noqa: F401 - re-exported
 from repro.core.program import Program
 from repro.core.stats import ExecutionStats
 from repro.core.timing import RiscTiming
@@ -51,16 +38,9 @@ from repro.machine.memory import Memory
 from repro.machine.psw import PSW
 from repro.machine.regfile import RegisterFile
 from repro.machine.traps import Trap, TrapKind
-from repro.obs.events import EventKind
-from repro.obs.tracer import NULL_TRACER
 
 WORD = 0xFFFFFFFF
 SIGN = 0x80000000
-
-MMIO_BASE = 0x7F000000
-MMIO_PUTCHAR = MMIO_BASE + 0x0
-MMIO_PUTINT = MMIO_BASE + 0x4
-MMIO_HALT = MMIO_BASE + 0xC
 
 #: Stack-pointer register (software convention).
 SP = 1
@@ -70,42 +50,11 @@ RA = 31
 _decode = lru_cache(maxsize=1 << 16)(decode)
 
 
-def to_signed(value: int) -> int:
-    """Interpret a 32-bit pattern as a signed integer."""
-    value &= WORD
-    return value - (1 << 32) if value & SIGN else value
-
-
-#: The halt signal is the unified API's — kept under the old internal name
-#: for the module's own handlers.
-_Halt = MachineHalted
-
-
-class ExecutionResult(RunResult):
-    """Deprecated alias for :class:`repro.core.api.RunResult`.
-
-    Kept so pre-unification callers and cached farm artifacts still load;
-    new code should construct and consume :class:`RunResult`.
-    """
-
-    def __init__(self, exit_code: int, stats: ExecutionStats, output: str):
-        warnings.warn(
-            "ExecutionResult is deprecated; use repro.core.api.RunResult",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        super().__init__(machine="risc1", exit_code=exit_code, output=output, stats=stats)
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> RunResult:
-        """Load a result payload, including legacy ones with no machine tag."""
-        return RunResult.from_dict(payload, default_machine="risc1")
-
-
-class CPU:
+class CPU(MachineShell):
     """A RISC I processor attached to a memory.
 
-    Implements the unified :class:`repro.core.api.Machine` protocol;
+    Implements the unified :class:`repro.core.api.Machine` protocol
+    through :class:`~repro.core.api.MachineShell`;
     ``tracer``/``metrics`` opt into the observability layer and cost one
     pre-resolved boolean test per potential event when left off.
     """
@@ -123,19 +72,12 @@ class CPU:
         tracer=None,
         metrics=None,
     ):
-        self.memory = Memory(memory_size)
+        super().__init__(Memory(memory_size), ExecutionStats(), tracer, metrics)
         self.regs = RegisterFile(num_windows, spill_batch=spill_batch)
         self.psw = PSW()
         self.timing = timing or RiscTiming()
-        self.stats = ExecutionStats()
-        self.metrics = metrics
-        self._install_tracer(tracer)
-        self._halted = False
-        self._exit_code: int | None = None
-        self.pc = 0
         self.npc = 4
         self._last_pc = 0
-        self._console: list[str] = []
         #: Register-save stack for window spills (grows down from the top
         #: of memory; the ordinary data stack starts just below it).
         self._save_base = memory_size
@@ -154,125 +96,28 @@ class CPU:
         self.call_trace: list[tuple[str, int]] | None = [] if trace_calls else None
         #: Optional per-instruction hook ``fn(pc, instruction)``.
         self.on_execute: Callable[[int, Instruction], None] | None = None
-        #: The last-loaded program; the fast engine predecodes its segments.
-        self._program: Program | None = None
-
-    # -- observability -----------------------------------------------------
-
-    def _install_tracer(self, tracer) -> None:
-        """Resolve the tracer once; the step loop only tests booleans."""
-        self.tracer = tracer if tracer is not None else NULL_TRACER
-        wants = self.tracer.wants
-        self._trace_retire = wants(EventKind.RETIRE)
-        self._trace_mem = wants(EventKind.MEM_REF)
-        self._trace_flow = wants(EventKind.CALL) or wants(EventKind.RET)
-        self._trace_window = wants(EventKind.WINDOW_OVERFLOW) or wants(
-            EventKind.WINDOW_UNDERFLOW
-        )
-        self._trace_trap = wants(EventKind.TRAP)
 
     # -- program loading ---------------------------------------------------
 
     def load(self, program: Program) -> None:
         """Load a program image and reset execution state."""
-        for segment in program.segments:
-            self.memory.load_image(segment.base, segment.data)
-        self.pc = program.entry
+        super().load(program)
         self.npc = program.entry + 4
-        self._halted = False
-        self._exit_code = None
-        self._program = program
         self.regs.write(SP, self._stack_top)
 
     # -- execution ----------------------------------------------------------
 
-    @property
-    def halted(self) -> bool:
-        """True once the loaded program has executed its halt."""
-        return self._halted
+    def _run_steps(self, limit: int, engine: str) -> None:
+        """``"fast"`` is the predecoded engine of :mod:`repro.core.engine`;
+        ``"reference"`` the plain ``step()`` loop.  A run measured under
+        ``uarch`` keeps the fast engine on its exact (per-step) loop."""
+        if engine == "fast" and self._program is not None:
+            from repro.core.engine import PredecodedEngine
 
-    @property
-    def exit_code(self) -> int | None:
-        return self._exit_code
-
-    def run(
-        self,
-        max_instructions: int | None = None,
-        *,
-        max_steps: int | None = None,
-        tracer=None,
-        engine: str | None = None,
-        record=None,
-        uarch=None,
-    ) -> RunResult:
-        """Run until the program halts.
-
-        Exceeding the step budget raises :class:`StepLimitExceeded` with
-        the synced partial stats attached.  ``max_instructions`` is the
-        deprecated spelling of ``max_steps``.  A ``tracer`` passed here is
-        installed for this run (and stays).  ``engine`` selects the
-        execution path — ``"fast"`` (default, the predecoded engine of
-        :mod:`repro.core.engine`) or ``"reference"`` (the plain ``step()``
-        loop); both are differentially identical.  ``record`` opts this
-        run into the persistent run ledger (``True``, a ledger root path,
-        or a :class:`~repro.obs.ledger.Ledger`); ``None`` defers to
-        ``$REPRO_LEDGER``.  ``uarch`` opts the run into the pipeline
-        timing model (a ``--uarch`` spec string, ``True`` for the default
-        configuration, or a :class:`~repro.uarch.config.UarchConfig`);
-        the resulting :class:`~repro.uarch.pipeline.PipelineStats` is
-        attached as ``result.pipeline``.  Measuring keeps the fast engine
-        on its exact (per-step) loop — the uarch-off path is untouched.
-        """
-        import time as _time
-
-        limit = resolve_max_steps(max_instructions, max_steps)
-        if tracer is not None:
-            self._install_tracer(tracer)
-        engine_name = resolve_engine(engine)
-        probe = None
-        if uarch is not None and uarch is not False:
-            from repro.uarch import PipelineModel, attach_pipeline, resolve_uarch
-
-            config = resolve_uarch(uarch)
-            probe = attach_pipeline(
-                self, PipelineModel(config, machine=self.name, tracer=self.tracer)
-            )
-        started = _time.perf_counter()
-        try:
-            if engine_name == "fast" and self._program is not None:
-                from repro.core.engine import PredecodedEngine
-
-                PredecodedEngine(self).run(limit)
-            else:
-                for _ in range(limit):
-                    self.step()
-            self._sync_memory_stats()
-            raise StepLimitExceeded(limit, pc=self.pc, stats=self.stats)
-        except _Halt as halt:
-            wall_s = _time.perf_counter() - started
-            self._sync_memory_stats()
-            result = RunResult(self.name, halt.code, "".join(self._console), self.stats)
-            if probe is not None:
-                result.pipeline = probe.finalize()[0]
-            if self.metrics is not None:
-                from repro.obs.metrics import record_machine_run
-
-                record_machine_run(self.metrics, result)
-            from repro.obs.ledger import maybe_record_run
-
-            maybe_record_run(
-                result,
-                engine=engine_name,
-                wall_s=wall_s,
-                record=record,
-                metrics=self.metrics,
-            )
-            return result
-        finally:
-            if probe is not None:
-                from repro.uarch import detach_pipeline
-
-                detach_pipeline(self, probe)
+            PredecodedEngine(self).run(limit)
+        else:
+            for _ in range(limit):
+                self.step()
 
     def raise_interrupt(self, vector: int) -> None:
         """Latch an external interrupt request.
@@ -315,7 +160,7 @@ class CPU:
         next_npc = self.npc + 4
         try:
             target = self._execute(inst, pc)
-        except _Halt:
+        except MachineHalted:
             # account the halting store itself before unwinding
             self.stats.record(inst.opcode, self.timing.instruction_cycles(inst.opcode))
             if self._trace_retire:
@@ -448,24 +293,6 @@ class CPU:
             raise
         if self._trace_mem:
             self.tracer.mem_ref(self.stats.cycles, pc, address, "w", width)
-
-    def _mmio_store(self, address: int, value: int, width: int, pc: int) -> None:
-        self.memory.stats.data_writes += 1
-        # the event is emitted before the store takes effect so the halting
-        # store (and a trapping one) still appears in the trace — keeping
-        # the MEM_REF stream in lockstep with the data_writes counter
-        if self._trace_mem:
-            self.tracer.mem_ref(self.stats.cycles, pc, address, "w", width)
-        if address == MMIO_PUTCHAR:
-            self._console.append(chr(value & 0xFF))
-        elif address == MMIO_PUTINT:
-            self._console.append(str(to_signed(value)))
-        elif address == MMIO_HALT:
-            self._halted = True
-            self._exit_code = to_signed(value)
-            raise _Halt(self._exit_code)
-        else:
-            raise Trap(TrapKind.BUS_ERROR, f"unknown MMIO address {address:#x}", pc=pc)
 
     # control ---------------------------------------------------------------
 
@@ -602,23 +429,10 @@ class CPU:
 
     # -- snapshot / restore ------------------------------------------------
 
-    def snapshot(self) -> dict:
-        """Complete architectural state, JSON-safe and bit-exact.
-
-        Stats counters are synced first (idempotent), so a snapshot taken
-        after manual ``step()``-ing and one taken after a ``run()`` chunk
-        covering the same steps are identical.
-        """
-        self._sync_memory_stats()
+    def _snapshot_state(self) -> dict:
         return {
-            "schema": SNAPSHOT_SCHEMA_VERSION,
-            "machine": self.name,
-            "pc": self.pc,
             "npc": self.npc,
             "last_pc": self._last_pc,
-            "halted": self._halted,
-            "exit_code": self._exit_code,
-            "console": "".join(self._console),
             "pending": list(self._pending) if self._pending is not None else None,
             "interrupt_request": self._interrupt_request,
             "interrupts_taken": self.interrupts_taken,
@@ -636,50 +450,17 @@ class CPU:
                 "returns": self.regs.returns,
             },
             "psw": self.psw.pack(),
-            "stats": self.stats.to_dict(),
-            "memory": {
-                "size": self.memory.size,
-                "data": pack_bytes(self.memory._bytes),
-                "inst_fetches": self.memory.stats.inst_fetches,
-                "data_reads": self.memory.stats.data_reads,
-                "data_writes": self.memory.stats.data_writes,
-            },
         }
 
-    def restore(self, state: dict) -> None:
-        """Install a :meth:`snapshot` taken from a machine of the same shape.
-
-        Shared mutable structures (the register file's backing list, the
-        memory bytearray) are updated in place, never replaced — cached
-        engine closures and operand evaluators hold references to them.
-        """
-        if state.get("machine") != self.name:
-            raise ValueError(
-                f"snapshot is for machine {state.get('machine')!r}, not {self.name!r}"
-            )
-        if state.get("schema") != SNAPSHOT_SCHEMA_VERSION:
-            raise ValueError(f"unsupported snapshot schema {state.get('schema')!r}")
+    def _restore_state(self, state: dict) -> None:
         regs = state["regs"]
         if regs["num_windows"] != self.regs.num_windows:
             raise ValueError(
                 f"snapshot has {regs['num_windows']} windows, "
                 f"this CPU has {self.regs.num_windows}"
             )
-        memory = state["memory"]
-        if memory["size"] != self.memory.size:
-            raise ValueError(
-                f"snapshot memory is {memory['size']} bytes, "
-                f"this CPU has {self.memory.size}"
-            )
-        image = unpack_bytes(memory["data"])
-        if len(image) != self.memory.size:
-            raise ValueError("snapshot memory image does not match its declared size")
-        self.pc = state["pc"]
         self.npc = state["npc"]
         self._last_pc = state["last_pc"]
-        self._halted = state["halted"]
-        self._exit_code = state["exit_code"]
-        self._console = [state["console"]] if state["console"] else []
         pending = state["pending"]
         self._pending = tuple(pending) if pending is not None else None
         self._interrupt_request = state["interrupt_request"]
@@ -695,11 +476,6 @@ class CPU:
         self.regs.calls = regs["calls"]
         self.regs.returns = regs["returns"]
         self.psw.unpack(state["psw"])
-        self.stats = ExecutionStats.from_dict(state["stats"])
-        self.memory._bytes[:] = image
-        self.memory.stats.inst_fetches = memory["inst_fetches"]
-        self.memory.stats.data_reads = memory["data_reads"]
-        self.memory.stats.data_writes = memory["data_writes"]
 
     # -- bookkeeping -----------------------------------------------------------
 

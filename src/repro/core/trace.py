@@ -62,7 +62,7 @@ class Trace:
         return sum(1 for e in self.entries if e.cwp_before != e.cwp_after)
 
 
-def trace_run(cpu: CPU, max_instructions: int = 100_000) -> Trace:
+def trace_run(cpu: CPU, max_steps: int = 100_000) -> Trace:
     """Run a loaded CPU to completion, recording every instruction.
 
     Tracing snapshots the visible window around each step, so it is far
@@ -70,7 +70,7 @@ def trace_run(cpu: CPU, max_instructions: int = 100_000) -> Trace:
     """
     entries: list[TraceEntry] = []
     result: RunResult | None = None
-    for index in range(max_instructions):
+    for index in range(max_steps):
         pc = cpu.pc
         word = cpu.memory.dump(pc, 4)
         word_value = int.from_bytes(word, "big")

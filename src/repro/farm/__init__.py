@@ -31,7 +31,9 @@ from repro.farm.api import (
     API_SCHEMA_VERSION,
     FarmClient,
     FarmFuture,
+    FarmReport,
     JobFailed,
+    JobOutcome,
     JobSpec,
     JobStatus,
     SpecError,
@@ -49,7 +51,6 @@ from repro.farm.jobs import (
 from repro.farm.pool import PoolBroken, PoolOutcome, WorkerPool, default_batch_size
 from repro.farm.results import ResultStore
 from repro.farm.runner import run_job
-from repro.farm.scheduler import FarmReport, JobOutcome, run_sweep
 
 __all__ = [
     "API_SCHEMA_VERSION",
@@ -74,7 +75,6 @@ __all__ = [
     "execute_job",
     "ir_job",
     "run_job",
-    "run_sweep",
     "shared_client",
     "sweep_jobs",
     "toolchain_fingerprint",

@@ -1,8 +1,8 @@
 """The farm's one submission surface: ``FarmClient.submit(spec) -> future``.
 
-Every way into the farm — ``run_sweep``, the ``risc1-farm`` CLI, the
-``repro.farm serve`` HTTP server, the experiment harnesses — goes
-through this module:
+Every way into the farm — the ``risc1-farm`` CLI, the ``repro.farm
+serve`` HTTP server, the experiment harnesses — goes through this
+module:
 
 * :class:`JobSpec` / :class:`JobStatus` are the wire types.  Both are
   plain dataclasses with versioned JSON round-trips (like
@@ -18,11 +18,9 @@ through this module:
   automatic serial fallback when the pool cannot run.  ``submit`` is
   deduplicated in flight: two submissions of the same content-addressed
   key share one execution and one future.
-* :meth:`FarmClient.sweep` is the batch entry point that
-  ``repro.farm.scheduler.run_sweep`` (now a thin deprecation shim) and
-  the CLIs call; it preserves the old scheduler's semantics exactly —
-  dependency waves, serial fallback, manifest record, tracer events,
-  bit-identical cache behaviour.
+* :meth:`FarmClient.sweep` is the batch entry point the CLIs call:
+  dependency waves, serial fallback, manifest record, tracer events.
+  It reports through :class:`JobOutcome` and :class:`FarmReport`.
 """
 
 from __future__ import annotations
@@ -31,7 +29,6 @@ import dataclasses
 import queue
 import threading
 import time
-import warnings
 
 from repro.farm.cache import ArtifactCache, CacheStats, default_cache_root
 from repro.farm.jobs import (
@@ -39,6 +36,7 @@ from repro.farm.jobs import (
     Job,
     _normalize_params,
     compile_job,
+    dependency,
     execute_job,
     ir_job,
 )
@@ -49,7 +47,9 @@ __all__ = [
     "API_SCHEMA_VERSION",
     "FarmClient",
     "FarmFuture",
+    "FarmReport",
     "JobFailed",
+    "JobOutcome",
     "JobSpec",
     "JobStatus",
     "SpecError",
@@ -82,6 +82,80 @@ class SpecError(ValueError):
         }
 
 
+@dataclasses.dataclass
+class JobOutcome:
+    """What happened to one job during a sweep."""
+
+    job: Job
+    key: str
+    status: str  # "hit" | "computed" | "failed"
+    wall_s: float
+    worker: str  # "serial", or "pool:<worker id>" for pool execution
+    error: str | None = None
+    #: small per-job measurement record (cycles, instructions, code size)
+    metrics: dict | None = None
+
+
+@dataclasses.dataclass
+class FarmReport:
+    """Everything one sweep invocation did."""
+
+    mode: str  # "serial" | "parallel" | "parallel+fallback"
+    workers: int
+    wall_s: float
+    outcomes: list[JobOutcome]
+    cache_stats: CacheStats
+
+    @property
+    def counts(self) -> dict[str, int]:
+        counts = {"hit": 0, "computed": 0, "failed": 0}
+        for outcome in self.outcomes:
+            counts[outcome.status] = counts.get(outcome.status, 0) + 1
+        return counts
+
+    def summary(self) -> str:
+        c = self.counts
+        return (
+            f"{len(self.outcomes)} jobs in {self.wall_s:.2f}s "
+            f"({self.mode}, {self.workers} worker{'s' if self.workers != 1 else ''}): "
+            f"{c['hit']} cache hits, {c['computed']} computed, {c['failed']} failed"
+        )
+
+
+def _job_waves(jobs: list[Job]) -> list[list[Job]]:
+    """Dependency-ordered waves: producers before the jobs that read them."""
+    remaining = list(dict.fromkeys(jobs))  # preserve order, drop duplicates
+    keys = {job.key for job in remaining}
+    waves: list[list[Job]] = []
+    done: set[str] = set()
+    while remaining:
+        wave = []
+        for job in remaining:
+            dep = dependency(job)
+            if dep is None or dep.key in done or dep.key not in keys:
+                wave.append(job)
+        if not wave:  # cycle cannot happen with this job model, but stay safe
+            wave = remaining[:]
+        done.update(job.key for job in wave)
+        remaining = [job for job in remaining if job.key not in done]
+        waves.append(wave)
+    return waves
+
+
+def _serial_outcome(job: Job, cache: ArtifactCache | None) -> JobOutcome:
+    started = time.perf_counter()
+    metrics = None
+    try:
+        value, hit = run_job(job, cache)
+        status, error = ("hit" if hit else "computed"), None
+        metrics = job_metrics(job, value)
+    except Exception as exc:
+        status, error = "failed", f"{type(exc).__name__}: {exc}"
+    return JobOutcome(
+        job, job.key, status, time.perf_counter() - started, "serial", error, metrics
+    )
+
+
 class JobFailed(RuntimeError):
     """Raised by :meth:`FarmFuture.result` when the job failed."""
 
@@ -106,8 +180,9 @@ class JobSpec:
     max_instructions: int = MAX_INSTRUCTIONS
     #: inline mini-C source (e.g. fuzz-generated).  When set, ``workload``
     #: is a free-form label and the source must compile under RCC —
-    #: checked here at the front door, so a bad program is a structured
-    #: 400 (:class:`SpecError`), never a 500 from deep inside a worker.
+    #: checked once by :meth:`FarmClient.submit` before dispatch, so a bad
+    #: program is a structured 400 (:class:`SpecError`), never a failed
+    #: job or a 500 from deep inside a worker.
     source: str | None = None
 
     def validate(self) -> "JobSpec":
@@ -142,18 +217,6 @@ class JobSpec:
                 raise SpecError(
                     "inline source must be non-empty text", field="source"
                 )
-            from repro.cc.driver import CompileError, compile_program
-
-            try:
-                compile_program(
-                    self.source, target=self.target, filename=f"{self.workload}.c"
-                )
-            except CompileError as exc:
-                raise SpecError(
-                    f"inline source does not compile: {exc}",
-                    field="source",
-                    value=str(exc),
-                ) from None
             return self
         try:
             parse_workload_spec(self.workload)
@@ -465,7 +528,8 @@ class FarmClient:
 
         ``item`` may be a :class:`JobSpec`, a raw :class:`Job`, or a
         bare ``NAME[:ARG]`` workload spec string (an execute job on
-        RISC I).  Invalid specs raise :class:`SpecError` immediately.
+        RISC I).  Invalid specs raise :class:`SpecError` immediately;
+        that includes inline source RCC rejects.
         """
         if self._closed:
             raise RuntimeError("client is closed")
@@ -475,6 +539,8 @@ class FarmClient:
             spec, job = item, item.to_job()
         else:
             spec, job = JobSpec.from_job(item), item
+        if job.source is not None and job.key not in self._inflight:
+            self._compile_inline(job)
         with self._lock:
             existing = self._inflight.get(job.key)
             if existing is not None and not existing.done():
@@ -494,6 +560,30 @@ class FarmClient:
             self._pool_broken = True
             self._run_serial(future)
         return future
+
+    def _compile_inline(self, job: Job) -> None:
+        """Compile an inline program once, before it is dispatched.
+
+        The compiled artifact goes to the cache under the key of the
+        compile job the run depends on, so the run reads it back instead
+        of compiling again.
+        """
+        from repro.cc.driver import CompileError, compile_program
+
+        try:
+            compile_step = dependency(job)
+            if compile_step is not None:
+                run_job(compile_step, self.cache)
+            else:  # the job is the compile itself; leave it to the worker
+                compile_program(
+                    job.source, target=job.target, filename=f"{job.workload}.c"
+                )
+        except CompileError as exc:
+            raise SpecError(
+                f"inline source does not compile: {exc}",
+                field="source",
+                value=str(exc),
+            ) from None
 
     def _pool_callback(self, future: FarmFuture):
         def callback(outcome) -> None:
@@ -548,17 +638,15 @@ class FarmClient:
         store=None,
         tracer=None,
         batch_size: int | None = None,
-    ):
-        """Run a dependency-ordered sweep; returns a ``FarmReport``.
+    ) -> FarmReport:
+        """Run a dependency-ordered sweep; returns a :class:`FarmReport`.
 
-        Semantics are identical to the historical ``run_sweep``: compile
-        waves precede the runs that read them, outcomes stream through
-        the optional ``tracer``, the report lands in the manifest, and
-        any pool failure degrades to serial execution of whatever has
-        not finished (``mode="parallel+fallback"``).
+        Compile waves precede the runs that read them, outcomes stream
+        through the optional ``tracer``, the report lands in the
+        manifest, and any pool failure degrades to serial execution of
+        whatever has not finished (``mode="parallel+fallback"``).
         """
         from repro.farm.results import ResultStore
-        from repro.farm.scheduler import FarmReport, JobOutcome, _job_waves, _serial_outcome
 
         if tracer is not None and not getattr(tracer, "enabled", True):
             tracer = None
@@ -567,20 +655,23 @@ class FarmClient:
         totals = CacheStats()
         mode = "serial" if self.workers <= 1 else "parallel"
 
+        def run_serially(batch: list[Job], announce: bool = True) -> None:
+            for job in batch:
+                if tracer is not None and announce:
+                    tracer.job_start(job.key, job.describe())
+                outcome = _serial_outcome(job, self.cache)
+                if tracer is not None:
+                    tracer.job_finish(
+                        outcome.key, job.describe(), outcome.status, outcome.wall_s
+                    )
+                outcomes.append(outcome)
+
         for wave in _job_waves(jobs):
             pool = self._ensure_pool() if mode == "parallel" else None
             if pool is None:
                 if mode == "parallel":
                     mode = "parallel+fallback"
-                for job in wave:
-                    if tracer is not None:
-                        tracer.job_start(job.key, job.describe())
-                    outcome = _serial_outcome(job, self.cache)
-                    if tracer is not None:
-                        tracer.job_finish(
-                            outcome.key, job.describe(), outcome.status, outcome.wall_s
-                        )
-                    outcomes.append(outcome)
+                run_serially(wave)
                 continue
 
             incoming: "queue.Queue" = queue.Queue()
@@ -594,15 +685,7 @@ class FarmClient:
             except PoolBroken:
                 self._pool_broken = True
                 mode = "parallel+fallback"
-                for job in wave:
-                    if tracer is not None:
-                        tracer.job_start(job.key, job.describe())
-                    outcome = _serial_outcome(job, self.cache)
-                    if tracer is not None:
-                        tracer.job_finish(
-                            outcome.key, job.describe(), outcome.status, outcome.wall_s
-                        )
-                    outcomes.append(outcome)
+                run_serially(wave)
                 continue
             if tracer is not None:
                 for job in wave:
@@ -617,16 +700,7 @@ class FarmClient:
                         # wedged pool: finish the stragglers serially
                         self._pool_broken = True
                         mode = "parallel+fallback"
-                        for key in sorted(pending):
-                            outcome = _serial_outcome(by_key[key], self.cache)
-                            if tracer is not None:
-                                tracer.job_finish(
-                                    outcome.key,
-                                    by_key[key].describe(),
-                                    outcome.status,
-                                    outcome.wall_s,
-                                )
-                            outcomes.append(outcome)
+                        run_serially([by_key[key] for key in sorted(pending)], False)
                         pending.clear()
                     continue
                 last_progress = time.monotonic()

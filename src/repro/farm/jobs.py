@@ -23,8 +23,9 @@ from pathlib import Path
 
 from repro.workloads import ALL_WORKLOADS
 
-#: Bump when the job/artifact encoding changes shape.
-JOB_SCHEMA_VERSION = 1
+#: Bump when the job/artifact encoding changes shape.  (2: execution
+#: artifacts must carry their machine tag; untagged ones no longer load.)
+JOB_SCHEMA_VERSION = 2
 
 #: Default instruction budget for farm execution jobs — matches what the
 #: experiment harnesses use.
@@ -257,22 +258,6 @@ def fuzz_job(seed: int, profile: str = "default", max_steps: int | None = None) 
         f"fuzz:{profile}",
         "cross",
         config=(("max_steps", int(max_steps)), ("seed", int(seed))),
-    )
-
-
-def source_job(
-    source: str,
-    target: str = "risc1",
-    label: str = "inline",
-    max_instructions: int = MAX_INSTRUCTIONS,
-) -> Job:
-    """An execute job over inline mini-C source (no curated workload)."""
-    return Job(
-        "execute",
-        label,
-        target,
-        config=(("max_instructions", max_instructions),),
-        source=source,
     )
 
 

@@ -5,7 +5,7 @@ per sweep and a pickled future round-trip per job — on ~2s workloads the
 overhead swamped the parallelism (``BENCH_farm.json`` recorded a 0.93×
 "speedup").  This pool inverts the cost model:
 
-* **Workers are forked once per pool lifetime** (one ``run_sweep``, or
+* **Workers are forked once per pool lifetime** (one ``FarmClient``, or
   the whole life of a ``repro.farm serve`` process).  Before forking,
   the parent *preloads* the toolchain — compiler, both simulators, the
   IR VM, the content-addressed toolchain fingerprint and every workload

@@ -28,7 +28,7 @@ class ResultStore:
     # -- writing ----------------------------------------------------------------
 
     def append_run(self, report) -> dict:
-        """Record one completed sweep (a :class:`~repro.farm.scheduler.FarmReport`)."""
+        """Record one completed sweep (a :class:`~repro.farm.api.FarmReport`)."""
         record = {
             "schema": MANIFEST_SCHEMA_VERSION,
             "timestamp": time.time(),

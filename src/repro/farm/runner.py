@@ -32,12 +32,7 @@ from repro.workloads import ALL_WORKLOADS
 
 
 def _decode_result(payload: dict):
-    """Rebuild a cached execution/IR artifact from its JSON payload.
-
-    New artifacts are machine-tagged :class:`RunResult` payloads; legacy
-    (pre-unification) ones carry only the farm's target tag, which maps
-    straight onto the machine name.
-    """
+    """Rebuild a cached execution/IR/fuzz artifact from its JSON payload."""
     tag = payload["type"]
     if tag == "ir":
         return IRResult.from_dict(payload["result"])
@@ -45,7 +40,7 @@ def _decode_result(payload: dict):
         from repro.fuzz.crosscheck import CrossCheckReport
 
         return CrossCheckReport.from_dict(payload["result"])
-    return RunResult.from_dict(payload["result"], default_machine=tag)
+    return RunResult.from_dict(payload["result"])
 
 _caches: dict[Path, ArtifactCache] = {}
 

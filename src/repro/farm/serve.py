@@ -27,14 +27,11 @@ On boot the server prints one machine-readable line to stdout::
 into the main ledger, and the process exits 0 after printing a final
 ``{"drained": ...}`` line.
 
-The protocol layer is deliberately minimal HTTP/1.1 with persistent
-connections: a client may pipeline many requests over one socket
-(``Connection: keep-alive`` semantics — the HTTP/1.1 default), and the
-server closes only on ``Connection: close``, a protocol error, or the
-idle timeout.  Streaming responses (``?stream=1``) still end their
-connection — they have no length framing.  The farm's job payloads are
-tiny JSON documents and the interesting concurrency lives in the pool,
-not the socket handling.
+The protocol layer — persistent HTTP/1.1 connections, head parsing,
+the body cap, framing, drain — is :mod:`repro.httpd`, shared with the
+operator dashboard; this module keeps only the farm's routes, registry
+and dedupe.  Streaming responses (``?stream=1``) end their connection:
+they have no length framing.
 """
 
 from __future__ import annotations
@@ -43,27 +40,19 @@ import asyncio
 import concurrent.futures
 import dataclasses
 import json
-import signal
-import sys
 import time
 
+from repro import httpd
 from repro.farm.api import FarmClient, FarmFuture, JobSpec, SpecError
+from repro.httpd import json_response
 
 __all__ = ["FarmServer", "main", "run"]
-
-#: Cap on buffered request head + body; farm specs are tiny documents.
-_MAX_HEAD = 64 * 1024
-_MAX_BODY = 1024 * 1024
 
 #: Default ceiling on a ``?wait=`` / ``?stream=`` long poll.
 _MAX_WAIT_S = 300.0
 
 #: Completed registry entries kept for ``GET /jobs/<key>`` answers.
 _REGISTRY_LIMIT = 8192
-
-#: A keep-alive connection with no next request within this window is
-#: closed (frees sockets held by clients that wandered off).
-_IDLE_TIMEOUT_S = 75.0
 
 
 def _ext_for(spec_dict: dict | None) -> str:
@@ -79,8 +68,10 @@ class _Entry:
     event: asyncio.Event
 
 
-class FarmServer:
+class FarmServer(httpd.HTTPServer):
     """The HTTP front door around one shared :class:`FarmClient`."""
+
+    backlog = 2048
 
     def __init__(
         self,
@@ -88,36 +79,25 @@ class FarmServer:
         host: str = "127.0.0.1",
         port: int = 0,
         drain_timeout: float = 60.0,
-        idle_timeout: float = _IDLE_TIMEOUT_S,
+        idle_timeout: float = httpd.IDLE_TIMEOUT_S,
     ):
+        super().__init__(host, port, idle_timeout)
         self.client = client
-        self.host = host
-        self.port = port
         self.drain_timeout = drain_timeout
-        self.idle_timeout = idle_timeout
-        self.draining = False
         self._started = time.monotonic()
-        self.counters = {
-            "requests": 0,
-            "specs_submitted": 0,
-            "specs_dispatched": 0,
-            "deduped_inflight": 0,
-            "deduped_registry": 0,
-            "cache_probe_hits": 0,
-            "bad_requests": 0,
-            "server_errors": 0,
-        }
+        self.counters.update(
+            specs_submitted=0,
+            specs_dispatched=0,
+            deduped_inflight=0,
+            deduped_registry=0,
+            cache_probe_hits=0,
+        )
         self._registry: dict[str, _Entry] = {}
         #: keys claimed for dispatch but not yet in the registry — duplicate
         #: POSTs arriving in that window await the claimant instead of
         #: re-dispatching
         self._pending: dict[str, asyncio.Future] = {}
         self._lock = asyncio.Lock()
-        self._server: asyncio.base_events.Server | None = None
-        self._shutdown = asyncio.Event()
-        #: open connection writers — force-closed after drain so idle
-        #: keep-alive sockets can't stall ``Server.wait_closed()``
-        self._connections: set[asyncio.StreamWriter] = set()
         # Submissions run off-loop: a serial client executes the job inside
         # submit(), and even the pool path does blocking queue writes.
         self._executor = concurrent.futures.ThreadPoolExecutor(
@@ -147,7 +127,13 @@ class FarmServer:
         return status.to_dict()
 
     async def _submit_spec(self, payload) -> dict:
-        """One spec document -> one JobStatus document (deduped)."""
+        """One spec document -> one JobStatus document (deduped).
+
+        The job key comes from the spec alone (an inline program's key
+        hashes its text), so duplicates are answered from the registry or
+        the in-flight claim before anything compiles; a new inline program
+        compiles once, inside ``client.submit`` on the executor.
+        """
         spec = JobSpec.from_dict(payload)  # SpecError -> 400 at the call site
         job = spec.to_job()
         self.counters["specs_submitted"] += 1
@@ -242,16 +228,22 @@ class FarmServer:
         return 200, entry.future.status().to_dict()
 
     async def _stream_job(self, writer: asyncio.StreamWriter, key: str, query: dict):
-        """``?stream=1``: newline-delimited status snapshots until terminal."""
+        """``?stream=1``: newline-delimited status snapshots until terminal.
+
+        Returns a framed response only when there is nothing to stream."""
         entry = self._registry.get(key)
         if entry is None:
-            await self._respond(
-                writer, 404, {"error": {"message": f"unknown job key {key!r}"}}
+            return json_response(
+                404, {"error": {"message": f"unknown job key {key!r}"}}, keep_alive=False
             )
-            return
-        deadline = asyncio.get_running_loop().time() + min(
-            float(query.get("wait", _MAX_WAIT_S) or _MAX_WAIT_S), _MAX_WAIT_S
-        )
+        try:
+            wait_s = min(float(query.get("wait", _MAX_WAIT_S) or _MAX_WAIT_S), _MAX_WAIT_S)
+        except ValueError:
+            return json_response(
+                400, {"error": {"message": "wait must be a number of seconds"}},
+                keep_alive=False,
+            )
+        deadline = asyncio.get_running_loop().time() + wait_s
         writer.write(
             b"HTTP/1.1 200 OK\r\n"
             b"Content-Type: application/x-ndjson\r\n"
@@ -293,148 +285,40 @@ class FarmServer:
             "client": self.client.status(),
         }
 
-    # -- protocol ----------------------------------------------------------------
+    # -- routes ------------------------------------------------------------------
 
-    async def _respond(
-        self,
-        writer: asyncio.StreamWriter,
-        code: int,
-        payload: dict,
-        keep_alive: bool = False,
-    ) -> None:
-        reasons = {200: "OK", 202: "Accepted", 400: "Bad Request",
-                   404: "Not Found", 405: "Method Not Allowed",
-                   500: "Internal Server Error", 503: "Service Unavailable"}
-        body = json.dumps(payload, sort_keys=True).encode("utf-8")
-        connection = "keep-alive" if keep_alive else "close"
-        writer.write(
-            f"HTTP/1.1 {code} {reasons.get(code, 'OK')}\r\n"
-            f"Content-Type: application/json\r\n"
-            f"Content-Length: {len(body)}\r\n"
-            f"Connection: {connection}\r\n\r\n".encode("ascii") + body
-        )
-        await writer.drain()
-
-    async def _handle_one(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter, head: bytes
-    ) -> bool:
-        """Serve one parsed-head request; returns whether the connection
-        may carry another (HTTP/1.1 keep-alive semantics)."""
-        request_line, *header_lines = head.decode("latin-1").split("\r\n")
-        method, target, version = request_line.split(" ", 2)
-        headers = {}
-        for line in header_lines:
-            if ":" in line:
-                name, _, value = line.partition(":")
-                headers[name.strip().lower()] = value.strip()
-        connection = headers.get("connection", "").lower()
-        keep_alive = (
-            connection != "close"
-            if version.strip() == "HTTP/1.1"
-            else connection == "keep-alive"
-        )
-        body = b""
-        length = int(headers.get("content-length", 0) or 0)
-        if length:
-            if length > _MAX_BODY:
-                # the unread body makes the socket unusable for a next request
-                await self._respond(
-                    writer, 400, {"error": {"message": "request body too large"}}
-                )
-                return False
-            body = await reader.readexactly(length)
-        path, _, query_string = target.partition("?")
-        query = {}
-        for pair in query_string.split("&"):
-            if pair:
-                name, _, value = pair.partition("=")
-                query[name] = value
-
+    async def handle(self, request: httpd.Request, writer: asyncio.StreamWriter):
+        method, path = request.method, request.path
         if method == "GET" and path == "/healthz":
-            await self._respond(
-                writer, 200, {"ok": True, "draining": self.draining}, keep_alive
-            )
-        elif method == "GET" and path == "/status":
-            await self._respond(writer, 200, self._status_payload(), keep_alive)
-        elif method == "GET" and path.startswith("/jobs/"):
+            return json_response(200, {"ok": True, "draining": self.draining})
+        if method == "GET" and path == "/status":
+            return json_response(200, self._status_payload())
+        if method == "GET" and path.startswith("/jobs/"):
             key = path[len("/jobs/"):]
-            if query.get("stream") in ("1", "true"):
+            if request.query.get("stream") in ("1", "true"):
                 # ndjson has no length framing; the stream ends the connection
-                await self._stream_job(writer, key, query)
-                return False
-            code, payload = await self._handle_get_job(key, query)
-            await self._respond(writer, code, payload, keep_alive)
-        elif method == "POST" and path == "/jobs":
-            code, payload = await self._handle_post_jobs(body)
-            await self._respond(writer, code, payload, keep_alive)
-        else:
-            await self._respond(
-                writer,
-                404 if method in ("GET", "POST") else 405,
-                {"error": {"message": f"no route for {method} {path}"}},
-                keep_alive,
-            )
-        return keep_alive
-
-    async def _handle_connection(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        self._connections.add(writer)
-        try:
-            while True:
-                try:
-                    head = await asyncio.wait_for(
-                        reader.readuntil(b"\r\n\r\n"), self.idle_timeout
-                    )
-                except (
-                    asyncio.IncompleteReadError,
-                    asyncio.LimitOverrunError,
-                    asyncio.TimeoutError,
-                    OSError,
-                ):
-                    break
-                self.counters["requests"] += 1
-                try:
-                    keep_alive = await self._handle_one(reader, writer, head)
-                except (ConnectionError, asyncio.IncompleteReadError):
-                    break
-                except Exception as exc:  # a handler bug must answer 500, not hang
-                    self.counters["server_errors"] += 1
-                    try:
-                        await self._respond(
-                            writer,
-                            500,
-                            {"error": {"message": f"{type(exc).__name__}: {exc}"}},
-                        )
-                    except Exception:
-                        pass
-                    break
-                if not keep_alive or self.draining:
-                    break
-        finally:
-            self._connections.discard(writer)
-            try:
-                writer.close()
-                await writer.wait_closed()
-            except Exception:
-                pass
+                return await self._stream_job(writer, key, request.query)
+            return json_response(*await self._handle_get_job(key, request.query))
+        if method == "POST" and path == "/jobs":
+            return json_response(*await self._handle_post_jobs(request.body))
+        return json_response(
+            404 if method in ("GET", "POST") else 405,
+            {"error": {"message": f"no route for {method} {path}"}},
+        )
 
     # -- lifecycle ---------------------------------------------------------------
 
-    async def start(self) -> tuple[str, int]:
-        self._server = await asyncio.start_server(
-            self._handle_connection, self.host, self.port, backlog=2048
-        )
-        sockname = self._server.sockets[0].getsockname()
-        self.host, self.port = sockname[0], sockname[1]
-        return self.host, self.port
+    def banner(self) -> dict:
+        return {
+            "serving": {
+                "host": self.host,
+                "port": self.port,
+                "workers": self.client.workers,
+                "mode": self.client.mode,
+            }
+        }
 
-    def request_shutdown(self) -> None:
-        """Begin a graceful drain (idempotent; signal-handler safe)."""
-        self.draining = True
-        self._shutdown.set()
-
-    async def _drain(self) -> dict:
+    async def drain(self) -> dict:
         """Wait out in-flight jobs, then fold worker shards into the ledger."""
         loop = asyncio.get_running_loop()
         deadline = loop.time() + self.drain_timeout
@@ -461,19 +345,7 @@ class FarmServer:
 
     async def serve_until_shutdown(self) -> dict:
         """Run until :meth:`request_shutdown`, then drain; returns the summary."""
-        assert self._server is not None, "call start() first"
-        async with self._server:
-            await self._server.start_serving()
-            await self._shutdown.wait()
-            # stop accepting, finish what is in flight
-            self._server.close()
-            summary = await self._drain()
-            # idle keep-alive sockets would stall wait_closed(); drop them
-            for connection in list(self._connections):
-                try:
-                    connection.close()
-                except Exception:
-                    pass
+        summary = await super().serve_until_shutdown()
         self._executor.shutdown(wait=False)
         return summary
 
@@ -497,30 +369,7 @@ async def run(
     # would hold it open past our close, stalling EOF-delimited readers).
     client._ensure_pool()
     server = FarmServer(client, host=host, port=port, drain_timeout=drain_timeout)
-    await server.start()
-    loop = asyncio.get_running_loop()
-    for signum in (signal.SIGTERM, signal.SIGINT):
-        try:
-            loop.add_signal_handler(signum, server.request_shutdown)
-        except (NotImplementedError, RuntimeError):
-            pass  # non-main thread or platform without signal support
-    print(
-        json.dumps(
-            {
-                "serving": {
-                    "host": server.host,
-                    "port": server.port,
-                    "workers": workers,
-                    "mode": client.mode,
-                }
-            },
-            sort_keys=True,
-        ),
-        flush=True,
-    )
-    if ready is not None:
-        ready(server)
-    summary = await server.serve_until_shutdown()
+    summary = await httpd.serve(server, ready)
     print(json.dumps({"drained": summary}, sort_keys=True), flush=True)
     return summary
 
@@ -537,15 +386,3 @@ def main(args) -> int:
         )
     )
     return 0 if summary.get("ok", False) else 1
-
-
-if __name__ == "__main__":  # pragma: no cover - exercised via the CLI
-    import argparse
-
-    parser = argparse.ArgumentParser(description="farm HTTP front door")
-    parser.add_argument("--host", default="127.0.0.1")
-    parser.add_argument("--port", type=int, default=8421)
-    parser.add_argument("--jobs", type=int, default=1)
-    parser.add_argument("--batch-size", type=int, default=None)
-    parser.add_argument("--drain-timeout", type=float, default=60.0)
-    sys.exit(main(parser.parse_args()))

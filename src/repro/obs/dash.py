@@ -1,8 +1,8 @@
 """``python -m repro.obs dash`` — the operator console's web dashboard.
 
-A zero-dependency asyncio HTTP server (the same stdlib-only protocol
-style as ``repro.farm serve``) that renders one self-contained HTML page
-over a :class:`~repro.obs.console.ConsoleSnapshot`:
+A zero-dependency asyncio HTTP server (on :mod:`repro.httpd`, the
+protocol layer ``repro.farm serve`` uses too) that renders one
+self-contained HTML page over a :class:`~repro.obs.console.ConsoleSnapshot`:
 
 * steps/s trajectories per (workload, machine, engine), drawn as inline
   SVG line charts with the rolling-median regression detector's flags;
@@ -14,7 +14,8 @@ over a :class:`~repro.obs.console.ConsoleSnapshot`:
 Routes: ``GET /`` (the page), ``GET /data`` (the snapshot JSON),
 ``GET /poll?v=N`` (long-poll; answers when the snapshot version moves
 past ``N``, so the page reloads within one refresh interval of a
-change), ``GET /healthz``.  Connections are keep-alive.
+change), ``GET /healthz``.  Connections are keep-alive; SIGTERM/SIGINT
+releases long-pollers, closes idle connections and exits 0.
 
 ``--once PATH`` skips the server entirely and writes the static page —
 the CI artifact mode.  The page is self-contained: inline CSS and SVG,
@@ -32,12 +33,11 @@ import sys
 import time
 from pathlib import Path
 
+from repro import httpd
 from repro.obs.console import ConsoleProvider, ConsoleSnapshot
 from repro.obs.profile import render_flame_svg
 
 __all__ = ["DashServer", "main", "render_dashboard"]
-
-_MAX_HEAD = 64 * 1024
 
 #: Ceiling on one ``/poll`` long poll; the page re-polls on expiry.
 _MAX_POLL_S = 25.0
@@ -444,7 +444,7 @@ def render_dashboard(snapshot: ConsoleSnapshot | dict, *, live_version: int | No
     )
 
 
-class DashServer:
+class DashServer(httpd.HTTPServer):
     """The live dashboard server: keep-alive HTTP over one provider.
 
     A background refresher rebuilds the snapshot every ``interval``
@@ -453,26 +453,24 @@ class DashServer:
     long-pollers aren't woken by wall-clock stamps.
     """
 
+    extra_headers = "Cache-Control: no-store\r\n"
+
     def __init__(
         self,
         provider: ConsoleProvider,
         host: str = "127.0.0.1",
         port: int = 8422,
         interval: float = 2.0,
-        idle_timeout: float = 75.0,
+        idle_timeout: float = httpd.IDLE_TIMEOUT_S,
     ):
+        super().__init__(host, port, idle_timeout)
         self.provider = provider
-        self.host = host
-        self.port = port
         self.interval = interval
-        self.idle_timeout = idle_timeout
         self._snapshot: ConsoleSnapshot | None = None
         self._comparable: dict | None = None
         self._version = 1
         self._changed = asyncio.Event()
-        self._server: asyncio.base_events.Server | None = None
         self._refresher: asyncio.Task | None = None
-        self._shutdown = asyncio.Event()
 
     # -- snapshot state ----------------------------------------------------------
 
@@ -509,7 +507,7 @@ class DashServer:
     async def _wait_version(self, since: int, timeout: float) -> int:
         loop = asyncio.get_running_loop()
         deadline = loop.time() + timeout
-        while self._version == since:
+        while self._version == since and not self.draining:
             remaining = deadline - loop.time()
             if remaining <= 0:
                 break
@@ -520,168 +518,51 @@ class DashServer:
                 pass
         return self._version
 
-    # -- protocol ----------------------------------------------------------------
+    # -- routes ------------------------------------------------------------------
 
-    @staticmethod
-    def _response(
-        code: int, body: bytes, content_type: str, keep_alive: bool
-    ) -> bytes:
-        reasons = {200: "OK", 400: "Bad Request", 404: "Not Found",
-                   405: "Method Not Allowed", 500: "Internal Server Error"}
-        connection = "keep-alive" if keep_alive else "close"
-        return (
-            f"HTTP/1.1 {code} {reasons.get(code, 'OK')}\r\n"
-            f"Content-Type: {content_type}\r\n"
-            f"Content-Length: {len(body)}\r\n"
-            f"Cache-Control: no-store\r\n"
-            f"Connection: {connection}\r\n\r\n".encode("ascii") + body
-        )
-
-    async def _route(self, path: str, query: dict) -> tuple[int, bytes, str]:
+    async def handle(self, request: httpd.Request, writer) -> httpd.Response:
+        if request.method != "GET":
+            return httpd.Response(405, b'{"error": "GET only"}', keep_alive=False)
+        path, query = request.path, request.query
         if path in ("/", "/index.html"):
             page = render_dashboard(self._snapshot, live_version=self._version)
-            return 200, page.encode("utf-8"), "text/html; charset=utf-8"
+            return httpd.Response(200, page.encode("utf-8"), "text/html; charset=utf-8")
         if path == "/data":
-            body = json.dumps(self._snapshot.to_dict(), sort_keys=True)
-            return 200, body.encode("utf-8"), "application/json"
+            return httpd.json_response(200, self._snapshot.to_dict())
         if path == "/poll":
             try:
                 since = int(query.get("v", "0") or "0")
             except ValueError:
-                return 400, b'{"error": "v must be an integer"}', "application/json"
+                return httpd.Response(400, b'{"error": "v must be an integer"}')
             timeout = min(float(query.get("wait", _MAX_POLL_S) or _MAX_POLL_S), _MAX_POLL_S)
             version = await self._wait_version(since, timeout)
             body = json.dumps({"version": version, "changed": version != since})
-            return 200, body.encode("utf-8"), "application/json"
+            return httpd.Response(200, body.encode("utf-8"))
         if path == "/healthz":
             body = json.dumps({"ok": True, "version": self._version})
-            return 200, body.encode("utf-8"), "application/json"
-        return 404, json.dumps(
-            {"error": f"no route for {path}"}
-        ).encode("utf-8"), "application/json"
-
-    async def _handle_connection(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        try:
-            while True:
-                try:
-                    head = await asyncio.wait_for(
-                        reader.readuntil(b"\r\n\r\n"), self.idle_timeout
-                    )
-                except (
-                    asyncio.IncompleteReadError,
-                    asyncio.LimitOverrunError,
-                    asyncio.TimeoutError,
-                    OSError,
-                ):
-                    break
-                request_line, *header_lines = head.decode("latin-1").split("\r\n")
-                try:
-                    method, target, version = request_line.split(" ", 2)
-                except ValueError:
-                    break
-                headers = {}
-                for line in header_lines:
-                    if ":" in line:
-                        name, _, value = line.partition(":")
-                        headers[name.strip().lower()] = value.strip()
-                length = int(headers.get("content-length", 0) or 0)
-                if length:
-                    await reader.readexactly(length)  # no POST routes; drain it
-                connection = headers.get("connection", "").lower()
-                keep_alive = (
-                    connection != "close"
-                    if version.strip() == "HTTP/1.1"
-                    else connection == "keep-alive"
-                )
-                path, _, query_string = target.partition("?")
-                query = {}
-                for pair in query_string.split("&"):
-                    if pair:
-                        name, _, value = pair.partition("=")
-                        query[name] = value
-                if method != "GET":
-                    writer.write(self._response(
-                        405, b'{"error": "GET only"}', "application/json", False
-                    ))
-                    await writer.drain()
-                    break
-                try:
-                    code, body, content_type = await self._route(path, query)
-                except Exception as exc:  # a handler bug answers 500, not hangs
-                    code, content_type = 500, "application/json"
-                    body = json.dumps(
-                        {"error": f"{type(exc).__name__}: {exc}"}
-                    ).encode("utf-8")
-                writer.write(self._response(code, body, content_type, keep_alive))
-                await writer.drain()
-                if not keep_alive:
-                    break
-        except (ConnectionError, asyncio.IncompleteReadError):
-            pass
-        finally:
-            try:
-                writer.close()
-                await writer.wait_closed()
-            except Exception:
-                pass
+            return httpd.Response(200, body.encode("utf-8"))
+        body = json.dumps({"error": f"no route for {path}"})
+        return httpd.Response(404, body.encode("utf-8"))
 
     # -- lifecycle ---------------------------------------------------------------
 
+    def banner(self) -> dict:
+        return {"dash": {"host": self.host, "port": self.port, "interval": self.interval}}
+
     async def start(self) -> tuple[str, int]:
         await self.refresh()  # GET / must have a snapshot from request one
-        self._server = await asyncio.start_server(
-            self._handle_connection, self.host, self.port, limit=_MAX_HEAD
-        )
-        sockname = self._server.sockets[0].getsockname()
-        self.host, self.port = sockname[0], sockname[1]
+        address = await super().start()
         self._refresher = asyncio.get_running_loop().create_task(self._refresh_loop())
-        return self.host, self.port
+        return address
 
     def request_shutdown(self) -> None:
-        self._shutdown.set()
+        super().request_shutdown()
         changed, self._changed = self._changed, asyncio.Event()
         changed.set()  # release long-pollers promptly
 
-    async def serve_until_shutdown(self) -> None:
-        assert self._server is not None, "call start() first"
-        async with self._server:
-            await self._server.start_serving()
-            await self._shutdown.wait()
-            self._server.close()
-            if self._refresher is not None:
-                await self._refresher
-
-
-async def run_server(provider: ConsoleProvider, args, ready=None) -> int:
-    import signal
-
-    server = DashServer(
-        provider,
-        host=args.host,
-        port=args.port,
-        interval=args.interval,
-    )
-    await server.start()
-    loop = asyncio.get_running_loop()
-    for signum in (signal.SIGTERM, signal.SIGINT):
-        try:
-            loop.add_signal_handler(signum, server.request_shutdown)
-        except (NotImplementedError, RuntimeError):
-            pass  # non-main thread or platform without signal support
-    print(
-        json.dumps(
-            {"dash": {"host": server.host, "port": server.port,
-                      "interval": server.interval}},
-            sort_keys=True,
-        ),
-        flush=True,
-    )
-    if ready is not None:
-        ready(server)
-    await server.serve_until_shutdown()
-    return 0
+    async def drain(self) -> None:
+        if self._refresher is not None:
+            await self._refresher
 
 
 def resolve_ledger(explicit: str | None):
@@ -775,7 +656,9 @@ def main(args) -> int:
             path.write_text(page, encoding="utf-8")
             print(f"wrote dashboard to {path}", file=sys.stderr)
         return 0
-    return asyncio.run(run_server(provider, args))
+    server = DashServer(provider, host=args.host, port=args.port, interval=args.interval)
+    asyncio.run(httpd.serve(server))
+    return 0
 
 
 if __name__ == "__main__":  # pragma: no cover - exercised via the CLI

@@ -30,10 +30,10 @@ from hashlib import sha256
 from pathlib import Path
 
 from repro.core.api import (
+    DEFAULT_MAX_STEPS,
     StepLimitExceeded,
     pack_bytes,
     resolve_engine,
-    resolve_max_steps,
     unpack_bytes,
 )
 from repro.core.program import Program, Segment
@@ -309,7 +309,7 @@ def record_run(
     """
     if interval < 1:
         raise ValueError(f"checkpoint interval must be positive, got {interval}")
-    limit = resolve_max_steps(None, max_steps)
+    limit = DEFAULT_MAX_STEPS if max_steps is None else max_steps
     engine_name = resolve_engine(engine)
     machine.load(program)
     checkpoints = [{"step": 0, "state": machine.snapshot()}]

@@ -11,7 +11,7 @@ TARGETS = ["risc1", "cisc"]
 
 def run(source, target):
     compiled = compile_program(source, target=target)
-    return run_compiled(compiled, max_instructions=20_000_000)
+    return run_compiled(compiled, max_steps=20_000_000)
 
 
 @pytest.mark.parametrize("target", TARGETS)

@@ -14,7 +14,7 @@ TARGETS = ["risc1", "cisc"]
 
 def run(src, target, max_instructions=20_000_000):
     compiled = compile_program(src, target=target)
-    result = run_compiled(compiled, max_instructions=max_instructions)
+    result = run_compiled(compiled, max_steps=max_instructions)
     return result
 
 

@@ -10,7 +10,7 @@ from repro.machine.traps import Trap, TrapKind
 def run(source, windows=8, **kwargs):
     cpu = CPU(num_windows=windows, **kwargs)
     cpu.load(assemble(source))
-    result = cpu.run(max_instructions=5_000_000)
+    result = cpu.run(max_steps=5_000_000)
     return cpu, result
 
 
@@ -374,7 +374,7 @@ class TestIOAndHalt:
         cpu = CPU()
         cpu.load(assemble("main: jmp main\n nop"))
         with pytest.raises(Trap, match="instruction limit"):
-            cpu.run(max_instructions=100)
+            cpu.run(max_steps=100)
 
 
 class TestMisc:

@@ -14,7 +14,7 @@ from repro.machine.traps import Trap, TrapKind
 def run(source, **kwargs):
     cpu = CPU(**kwargs)
     cpu.load(assemble(source))
-    return cpu, cpu.run(max_instructions=2_000_000)
+    return cpu, cpu.run(max_steps=2_000_000)
 
 
 class TestDeferredWindowRotation:

@@ -114,7 +114,7 @@ def run_everywhere(source: str) -> list[str]:
     outputs = []
     for target in ("risc1", "cisc"):
         compiled = compile_program(source, target=target)
-        outputs.append(run_compiled(compiled, max_instructions=5_000_000).output)
+        outputs.append(run_compiled(compiled, max_steps=5_000_000).output)
     outputs.append(run_ir(compile_program(source, target="risc1").ir).output)
     return outputs
 

@@ -12,12 +12,18 @@ import pytest
 import repro
 from repro.core.stats import ExecutionStats
 from repro.farm import jobs as jobs_mod
+from repro.farm.api import FarmClient, _job_waves
 from repro.farm.cache import ArtifactCache
 from repro.farm.jobs import compile_job, execute_job, ir_job, sweep_jobs
 from repro.farm.results import ResultStore
 from repro.farm.runner import run_job
-from repro.farm.scheduler import run_sweep
 from repro.isa.opcodes import Opcode
+
+
+def sweep(jobs, workers=1, cache=None, **kwargs):
+    """One sweep on a fresh client (its pool lives for this call only)."""
+    with FarmClient(workers=workers, cache=cache) as client:
+        return client.sweep(jobs, **kwargs)
 
 
 @pytest.fixture
@@ -162,8 +168,8 @@ class TestScheduler:
         grid = sweep_jobs(workloads=self.WORKLOADS, scale="default")
         serial_cache = ArtifactCache(tmp_path / "serial")
         parallel_cache = ArtifactCache(tmp_path / "parallel")
-        serial = run_sweep(grid, workers=1, cache=serial_cache)
-        parallel = run_sweep(grid, workers=2, cache=parallel_cache)
+        serial = sweep(grid, workers=1, cache=serial_cache)
+        parallel = sweep(grid, workers=2, cache=parallel_cache)
         assert serial.counts["failed"] == parallel.counts["failed"] == 0
         assert {o.key for o in serial.outcomes} == {o.key for o in parallel.outcomes}
         for job in grid:
@@ -174,8 +180,6 @@ class TestScheduler:
             assert from_serial.to_dict() == from_parallel.to_dict()
 
     def test_compile_wave_precedes_runs(self):
-        from repro.farm.scheduler import _job_waves
-
         grid = sweep_jobs(workloads=self.WORKLOADS)
         waves = _job_waves(grid)
         assert len(waves) == 2
@@ -185,8 +189,8 @@ class TestScheduler:
     def test_warm_sweep_has_zero_recomputes(self, tmp_path):
         grid = sweep_jobs(workloads=["towers"])
         cache_root = tmp_path / "warm"
-        run_sweep(grid, workers=1, cache=ArtifactCache(cache_root))
-        report = run_sweep(grid, workers=1, cache=ArtifactCache(cache_root))
+        sweep(grid, workers=1, cache=ArtifactCache(cache_root))
+        report = sweep(grid, workers=1, cache=ArtifactCache(cache_root))
         assert report.counts == {"hit": len(grid), "computed": 0, "failed": 0}
 
     def test_failed_job_is_reported_not_raised(self, cache, monkeypatch):
@@ -203,7 +207,7 @@ class TestScheduler:
                 }
             ),
         )
-        report = run_sweep([execute_job("towers", "risc1")], workers=1, cache=cache)
+        report = sweep([execute_job("towers", "risc1")], workers=1, cache=cache)
         assert report.counts["failed"] == 1
         assert "AssertionError" in report.outcomes[0].error
 
@@ -212,8 +216,8 @@ class TestResultStore:
     def test_manifest_append_and_query(self, cache, tmp_path):
         store = ResultStore(tmp_path / "runs.jsonl")
         grid = [compile_job("towers", "risc1"), execute_job("towers", "risc1")]
-        run_sweep(grid, workers=1, cache=cache, store=store)
-        run_sweep(grid, workers=1, cache=cache, store=store)
+        sweep(grid, workers=1, cache=cache, store=store)
+        sweep(grid, workers=1, cache=cache, store=store)
         records = store.records()
         assert len(records) == 2
         assert records[0]["schema"] == 1

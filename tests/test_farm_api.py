@@ -3,10 +3,8 @@
 ``repro.farm.api`` is the farm's one front door — everything here is
 contract: the versioned JSON round-trips the HTTP server and manifests
 rely on, structured validation errors (never tracebacks), in-flight
-dedupe, and the ``run_sweep`` deprecation shim's exact compatibility.
+dedupe, and the sweep manifest.
 """
-
-import warnings
 
 import pytest
 
@@ -21,8 +19,7 @@ from repro.farm.api import (
     shared_client,
 )
 from repro.farm.cache import ArtifactCache
-from repro.farm.jobs import execute_job, sweep_jobs
-from repro.farm.scheduler import run_sweep
+from repro.farm.jobs import execute_job
 
 
 class TestJobSpec:
@@ -157,28 +154,11 @@ class TestFarmClient:
         assert payload["cache"]["stores"] >= 1
 
 
-class TestSweepShim:
-    def test_run_sweep_warns_and_matches_client_sweep(self, tmp_path):
-        jobs = sweep_jobs(workloads=["towers"], targets=["risc1"])
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            shim = run_sweep(jobs, workers=1, cache=ArtifactCache(tmp_path / "a"))
-        assert any(
-            issubclass(w.category, DeprecationWarning) for w in caught
-        ), "run_sweep must emit DeprecationWarning"
-        with FarmClient(workers=1, cache=ArtifactCache(tmp_path / "b")) as client:
-            direct = client.sweep(jobs)
-        assert shim.mode == direct.mode == "serial"
-        assert {o.key: o.metrics for o in shim.outcomes} == {
-            o.key: o.metrics for o in direct.outcomes
-        }
-
-    def test_shim_writes_manifest_like_before(self, tmp_path):
+class TestSweep:
+    def test_sweep_writes_manifest(self, tmp_path):
         cache = ArtifactCache(tmp_path)
-        jobs = [execute_job("towers", "risc1")]
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            run_sweep(jobs, workers=1, cache=cache)
+        with FarmClient(workers=1, cache=cache) as client:
+            client.sweep([execute_job("towers", "risc1")])
         assert (cache.root / "runs.jsonl").exists()
 
 

@@ -47,7 +47,7 @@ def run_with_interrupts(fire_at: list[int], windows: int = 8):
             cpu.raise_interrupt(handler)
 
     cpu.on_execute = hook
-    result = cpu.run(max_instructions=500_000)
+    result = cpu.run(max_steps=500_000)
     return cpu, result
 
 
@@ -99,7 +99,7 @@ class TestInterruptDelivery:
                 cpu.raise_interrupt(handler)
 
         cpu.on_execute = hook
-        result = cpu.run(max_instructions=500_000)
+        result = cpu.run(max_steps=500_000)
         counted, bumped = result.output.split("\0")
         assert counted == "200"
         assert bumped == "2"
@@ -139,7 +139,7 @@ class TestInterruptDelivery:
                 cpu.raise_interrupt(handler)
 
         cpu.on_execute = hook
-        result = cpu.run(max_instructions=500_000)
+        result = cpu.run(max_steps=500_000)
         counted, bumped = result.output.split("\0")
         assert counted == "200"
         assert cpu.interrupts_taken > 0

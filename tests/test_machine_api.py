@@ -8,17 +8,15 @@ enforced.
 
 import pytest
 
-from repro.baselines.vax.cpu import VaxCPU, VaxExecutionResult
+from repro.baselines.vax.cpu import VaxCPU
 from repro.cc.driver import compile_program
 from repro.core.api import (
-    DEFAULT_MAX_STEPS,
     Machine,
     MachineHalted,
     RunResult,
     StepLimitExceeded,
-    resolve_max_steps,
 )
-from repro.core.cpu import CPU, ExecutionResult
+from repro.core.cpu import CPU
 from repro.machine.traps import Trap
 from repro.obs import FLOW_KINDS, EventKind, Tracer
 
@@ -89,15 +87,7 @@ class TestStepLimit:
     def test_limit_is_still_a_trap(self, target):
         # pre-unification callers catch Trap with this message; keep both
         with pytest.raises(Trap, match="instruction limit"):
-            fresh_machine(target).run(max_instructions=10)
-
-    def test_resolve_max_steps(self):
-        assert resolve_max_steps(None, None) == DEFAULT_MAX_STEPS
-        assert resolve_max_steps(123, None) == 123
-        assert resolve_max_steps(None, 456) == 456
-        assert resolve_max_steps(789, 789) == 789
-        with pytest.raises(TypeError):
-            resolve_max_steps(1, 2)
+            fresh_machine(target).run(max_steps=10)
 
 
 class TestResultSchema:
@@ -112,32 +102,11 @@ class TestResultSchema:
         assert type(rebuilt.stats) is type(result.stats)
 
     @pytest.mark.parametrize("target", TARGETS)
-    def test_legacy_payload_needs_default_machine(self, target):
+    def test_untagged_payload_is_rejected(self, target):
         payload = fresh_machine(target).run(max_steps=20_000_000).to_dict()
         del payload["machine"]  # schema-1 artifacts have no tag
         with pytest.raises(KeyError):
             RunResult.from_dict(payload)
-        rebuilt = RunResult.from_dict(payload, default_machine=target)
-        assert rebuilt.machine == target
-
-
-class TestDeprecationShims:
-    SHIMS = {"risc1": ExecutionResult, "cisc": VaxExecutionResult}
-
-    @pytest.mark.parametrize("target", TARGETS)
-    def test_shim_warns_and_is_a_run_result(self, target):
-        real = fresh_machine(target).run(max_steps=20_000_000)
-        with pytest.warns(DeprecationWarning):
-            shim = self.SHIMS[target](real.exit_code, real.stats, real.output)
-        assert isinstance(shim, RunResult)
-        assert (shim.machine, shim.exit_code, shim.output) == (target, 0, "55")
-
-    @pytest.mark.parametrize("target", TARGETS)
-    def test_shim_from_dict_loads_untagged_payloads(self, target):
-        payload = fresh_machine(target).run(max_steps=20_000_000).to_dict()
-        del payload["machine"]
-        rebuilt = self.SHIMS[target].from_dict(payload)
-        assert rebuilt.machine == target
 
 
 class TestTracedRuns:

@@ -12,7 +12,7 @@ from repro.baselines.vax.timing import VaxTiming
 def run(source, **kwargs):
     cpu = VaxCPU(**kwargs)
     cpu.load(assemble_vax(source))
-    return cpu, cpu.run(max_instructions=2_000_000)
+    return cpu, cpu.run(max_steps=2_000_000)
 
 
 HALT = "movl r0, @#0x7F00000C"

@@ -47,14 +47,14 @@ class TestVerifiedExecution:
     def test_risc1(self, name):
         workload = ALL_WORKLOADS[name]
         compiled = compile_program(workload.source(), target="risc1")
-        result = run_compiled(compiled, max_instructions=100_000_000)
+        result = run_compiled(compiled, max_steps=100_000_000)
         assert result.output == workload.expected_output()
         assert result.exit_code == 0
 
     def test_cisc(self, name):
         workload = ALL_WORKLOADS[name]
         compiled = compile_program(workload.source(), target="cisc")
-        result = run_compiled(compiled, max_instructions=100_000_000)
+        result = run_compiled(compiled, max_steps=100_000_000)
         assert result.output == workload.expected_output()
         assert result.exit_code == 0
 
