@@ -35,10 +35,6 @@ class WindowStats:
         """Fraction of calls that caused a window overflow."""
         return self.overflows / self.calls if self.calls else 0.0
 
-    @property
-    def spill_words_per_call(self) -> float:
-        return self.registers_spilled / self.calls if self.calls else 0.0
-
 
 def replay(trace: Trace, num_windows: int, regs_per_window: int = 16) -> WindowStats:
     """Replay a call trace against a ``num_windows``-window file."""

@@ -1,8 +1,11 @@
-"""The RISC I two-pass assembler.
+"""The RISC I assembler.
+
+Line syntax, directives and layout come from :mod:`repro.asm.core`; this
+module adds fixed-word sizing, pseudo-instruction expansion and encoding.
 
 Syntax overview (see README for the full reference)::
 
-    ; comment                         -- also "#" and "//" comments
+    ; comment                         -- also "//" comments
             .text                     -- switch to the code section
             .data                     -- switch to the data section
     label:  add   r3, r1, r2          -- rd, rs1, s2 (register form)
@@ -28,13 +31,13 @@ the compiler never hold live values there across those pseudos.
 
 from __future__ import annotations
 
-import dataclasses
 import re
 
+from repro.asm.core import AssemblerError, Statement, TwoPassAssembler, parse_number
 from repro.isa.conditions import MNEMONIC_CONDS, Cond
 from repro.isa.encoding import Instruction, S2_MAX, S2_MIN, encode
-from repro.isa.opcodes import Opcode, opcode_info
-from repro.core.program import DEFAULT_CODE_BASE, Program, Segment
+from repro.isa.opcodes import Opcode
+from repro.core.program import DEFAULT_CODE_BASE, Program
 
 MMIO_PUTCHAR = 0x7F000000
 MMIO_PUTINT = 0x7F000004
@@ -71,293 +74,52 @@ _MEM_RE = re.compile(r"^(?P<off>[^()]*)\(\s*(?P<reg>r\d{1,2})\s*\)$", re.IGNOREC
 #: Register-indexed effective address ``(rB)rX`` — base register plus an
 #: index register in the S2 field (``imm=0`` encoding of loads/stores/jumps).
 _IDX_RE = re.compile(r"^\(\s*(?P<reg>r\d{1,2})\s*\)\s*(?P<idx>r\d{1,2})$", re.IGNORECASE)
-_LABEL_RE = re.compile(r"^([A-Za-z_.$][\w.$]*):")
-_NAME_RE = re.compile(r"^[A-Za-z_.$][\w.$]*$")
-#: Profiler markers, extracted from the *comment* region of a line (so a
-#: ``;@`` inside a string literal can never match): ``;@42`` stamps the
-#: instruction with source line 42; ``;@fn name`` on a label line marks a
-#: function entry.
-_LINE_MARKER_RE = re.compile(r";@(\d+)")
-_FN_MARKER_RE = re.compile(r";@fn\s+(\S+)")
-_EXPR_RE = re.compile(
-    r"^(?P<sym>[A-Za-z_.$][\w.$]*)?\s*(?:(?P<op>[+-])\s*(?P<num>\w+))?$"
-)
 
 
-class AssemblerError(Exception):
-    """A syntax or semantic error in assembly source."""
+class Assembler(TwoPassAssembler):
+    """RISC I: every instruction is one 32-bit word; pseudos expand to 1-3."""
 
-    def __init__(self, message: str, line: int | None = None):
-        self.line = line
-        super().__init__(f"line {line}: {message}" if line else message)
-
-
-@dataclasses.dataclass
-class _Item:
-    """One statement after pass 1: knows its size and how to emit itself."""
-
-    kind: str  # "inst", "pseudo", "data"
-    mnemonic: str
-    operands: list[str]
-    line: int
-    source: str
-    section: str
-    offset: int = 0
-    size: int = 0
-    #: enclosing function and high-level source line (profiler line table)
-    func: str = ""
-    src_line: int = 0
-
-
-class Assembler:
-    """Two-pass assembler producing a :class:`Program`."""
-
-    def __init__(self, code_base: int = DEFAULT_CODE_BASE):
-        self.code_base = code_base
-        self.symbols: dict[str, int] = {}
-        self._sym_sections: dict[str, tuple[str, int]] = {}
-        self.equates: dict[str, int] = {}
-        self._items: list[_Item] = []
-        self._globals: set[str] = set()
-
-    # -- public API --------------------------------------------------------------
-
-    def assemble(self, source: str) -> Program:
-        self._pass1(source)
-        code_size = self._section_size("text")
-        data_base = _align(self.code_base + code_size, 256)
-        bases = {"text": self.code_base, "data": data_base}
-        for name, (section, offset) in self._sym_sections.items():
-            self.symbols[name] = bases[section] + offset
-        self.symbols.update(self.equates)
-        code, data, source_map, line_table = self._pass2(bases)
-        segments = [Segment(self.code_base, bytes(code), name="code")]
-        if data:
-            segments.append(Segment(data_base, bytes(data), name="data"))
-        entry = self.symbols.get("_start", self.symbols.get("main"))
-        if entry is None:
-            raise AssemblerError("no entry point: define _start or main")
-        return Program(
-            segments=tuple(segments),
-            entry=entry,
-            symbols=dict(self.symbols),
-            source_map=source_map,
-            line_table=line_table,
-        )
-
-    def _section_size(self, section: str) -> int:
-        ends = [
-            item.offset + item.size for item in self._items if item.section == section
-        ]
-        label_ends = [
-            offset for sec, offset in self._sym_sections.values() if sec == section
-        ]
-        return max(ends + label_ends, default=0)
-
-    # -- pass 1: parse, size, place labels ----------------------------------------
-
-    def _pass1(self, source: str) -> None:
-        section = "text"
-        offsets = {"text": 0, "data": 0}
-        # When the source carries explicit ;@fn markers (compiler output),
-        # they alone decide function boundaries; otherwise fall back to
-        # treating every non-local .text label as a function entry.
-        fn_markers = ";@fn" in source
-        cur_func = ""
-        for lineno, raw in enumerate(source.splitlines(), start=1):
-            stripped = _strip_comment(raw)
-            comment = raw[len(stripped) :]
-            line = stripped.strip()
-            fn = _FN_MARKER_RE.search(comment)
-            if fn:
-                cur_func = fn.group(1)
-            while True:
-                match = _LABEL_RE.match(line)
-                if not match:
-                    break
-                name = match.group(1)
-                self._define_label(name, section, offsets[section], lineno)
-                if not fn_markers and section == "text" and not name.startswith("."):
-                    cur_func = name
-                line = line[match.end() :].strip()
-            if not line:
-                continue
-            parts = line.split(None, 1)
-            mnemonic = parts[0].lower()
-            operand_text = parts[1] if len(parts) > 1 else ""
-            operands = _split_operands(operand_text)
-            if mnemonic.startswith("."):
-                section, grew = self._directive(
-                    mnemonic, operands, section, offsets[section], lineno, line
-                )
-                offsets[section] += grew
-                continue
-            src = _LINE_MARKER_RE.search(comment)
-            item = _Item(
-                kind="inst",
-                mnemonic=mnemonic,
-                operands=operands,
-                line=lineno,
-                source=line,
-                section=section,
-                offset=offsets[section],
-                func=cur_func,
-                src_line=int(src.group(1)) if src else 0,
-            )
-            if section != "text":
-                raise AssemblerError("instructions only allowed in .text", lineno)
-            item.size = self._sizeof(item) * 4
-            offsets[section] += item.size
-            self._items.append(item)
-
-    def _define_label(self, name: str, section: str, offset: int, lineno: int) -> None:
-        if name in self._sym_sections or name in self.equates:
-            raise AssemblerError(f"duplicate label {name!r}", lineno)
-        self._sym_sections[name] = (section, offset)
-
-    def _directive(
-        self,
-        mnemonic: str,
-        operands: list[str],
-        section: str,
-        offset: int,
-        lineno: int,
-        line: str,
-    ) -> tuple[str, int]:
-        """Handle a directive; return (new section, bytes added)."""
-        if mnemonic == ".text":
-            return "text", 0
-        if mnemonic == ".data":
-            return "data", 0
-        if mnemonic == ".global":
-            self._globals.update(operands)
-            return section, 0
-        if mnemonic == ".equ":
-            if len(operands) != 2:
-                raise AssemblerError(".equ needs name, value", lineno)
-            self.equates[operands[0]] = _parse_number(operands[1], lineno)
-            return section, 0
-
-        if section != "data":
-            raise AssemblerError(
-                f"data directive {mnemonic} only allowed in .data", lineno
-            )
-        item = _Item(
-            kind="data",
-            mnemonic=mnemonic,
-            operands=operands,
-            line=lineno,
-            source=line,
-            section=section,
-            offset=offset,
-        )
-        item.size = self._data_size(item, offset)
-        self._items.append(item)
-        return section, item.size
-
-    def _data_size(self, item: _Item, offset: int) -> int:
-        m = item.mnemonic
-        if m == ".word":
-            return 4 * len(item.operands)
-        if m == ".half":
-            return 2 * len(item.operands)
-        if m == ".byte":
-            return len(item.operands)
-        if m in (".ascii", ".asciiz"):
-            text = _parse_string(item.operands, item.line)
-            return len(text) + (1 if m == ".asciiz" else 0)
-        if m == ".space":
-            return _parse_number(item.operands[0], item.line)
-        if m == ".align":
-            boundary = _parse_number(item.operands[0], item.line)
-            return (-offset) % boundary
-        raise AssemblerError(f"unknown directive {m!r}", item.line)
+    DATA_WIDTHS = {".word": 4, ".half": 2, ".byte": 1}
+    ENTRY_SYMBOLS = ("_start", "main")
+    SOURCE_MAP = True
 
     # -- instruction sizing --------------------------------------------------------
 
-    def _sizeof(self, item: _Item) -> int:
-        """Number of machine words an instruction/pseudo expands to."""
-        m = item.mnemonic.rstrip("!")
+    def size(self, stmt: Statement) -> int:
+        """Bytes an instruction/pseudo expands to (whole words)."""
+        m = stmt.mnemonic.rstrip("!")
         if m in ("halt", "putc", "puti"):
-            return 3
-        if m in ("set", "mov") and len(item.operands) == 2:
-            src = item.operands[1]
+            return 12
+        if m in ("set", "mov") and len(stmt.operands) == 2:
+            src = stmt.operands[1]
             if _REG_RE.match(src):
-                return 1
+                return 4
             value = self._try_const(src)
             if value is not None and S2_MIN <= value <= S2_MAX:
-                return 1
-            return 2
-        return 1
+                return 4
+            return 8
+        return 4
 
     def _try_const(self, text: str) -> int | None:
         """Evaluate an operand as a pure constant, if possible now."""
         text = text.lstrip("#").strip()
         try:
-            return _parse_number(text, 0)
+            return parse_number(text, 0)
         except AssemblerError:
             pass
         if text in self.equates:
             return self.equates[text]
         return None
 
-    # -- pass 2: emit -------------------------------------------------------------
-
-    def _pass2(
-        self, bases: dict[str, int]
-    ) -> tuple[bytearray, bytearray, dict[int, str], dict[int, tuple[str, int]]]:
-        code = bytearray()
-        data = bytearray()
-        source_map: dict[int, str] = {}
-        line_table: dict[int, tuple[str, int]] = {}
-        for item in self._items:
-            if item.kind == "data":
-                self._emit_data(item, data)
-                continue
-            address = bases["text"] + item.offset
-            source_map[address] = f"{item.line}: {item.source}"
-            line_table[address] = (item.func, item.src_line)
-            words = self._emit_instruction(item, address)
-            expected = item.size // 4
-            if len(words) != expected:
-                words = _pad_words(words, expected, item)
-            for word in words:
-                code.extend(word.to_bytes(4, "big"))
-        return code, data, source_map, line_table
-
-    def _emit_data(self, item: _Item, out: bytearray) -> None:
-        if len(out) != item.offset:
-            out.extend(b"\0" * (item.offset - len(out)))
-        m = item.mnemonic
-        if m in (".word", ".half", ".byte"):
-            width = {".word": 4, ".half": 2, ".byte": 1}[m]
-            for operand in item.operands:
-                value = self._eval(operand, item.line) & ((1 << (8 * width)) - 1)
-                out.extend(value.to_bytes(width, "big"))
-        elif m in (".ascii", ".asciiz"):
-            text = _parse_string(item.operands, item.line)
-            out.extend(text.encode("latin-1"))
-            if m == ".asciiz":
-                out.append(0)
-        elif m == ".space":
-            out.extend(b"\0" * item.size)
-        elif m == ".align":
-            out.extend(b"\0" * item.size)
-
     # -- instruction emission ------------------------------------------------------
 
-    def _emit_instruction(self, item: _Item, address: int) -> list[int]:
-        m = item.mnemonic
+    def encode(self, stmt: Statement, address: int) -> bytes:
+        m = stmt.mnemonic
         scc = m.endswith("!")
-        m = m.rstrip("!")
-        ops = item.operands
-        line = item.line
-        try:
-            return self._dispatch(m, scc, ops, address, line)
-        except AssemblerError:
-            raise
-        except Exception as exc:  # encoding errors carry no line number
-            raise AssemblerError(f"{exc} in {item.source!r}", line) from exc
+        words = self._dispatch(m.rstrip("!"), scc, stmt.operands, address, stmt.line)
+        # a set/mov sized wide before its equate was known pads with NOPs
+        words += [NOP_WORD] * (stmt.size // 4 - len(words))
+        return b"".join([word.to_bytes(4, "big") for word in words])
 
     def _dispatch(
         self, m: str, scc: bool, ops: list[str], address: int, line: int
@@ -376,24 +138,20 @@ class Assembler:
             return [self._call(ops, address, line)]
         if m == "callr":
             dest = self._reg(ops[0], line) if len(ops) == 2 else 31
-            target = self._eval(ops[-1], line)
-            return [_enc(Instruction.long(Opcode.CALLR, dest=dest, y=target - address))]
+            target = self.evaluate(ops[-1], line)
+            return [encode(Instruction.long(Opcode.CALLR, dest=dest, y=target - address))]
         if m == "ret":
             return [self._ret(Opcode.RET, ops, line)]
         if m == "retint":
             return [self._ret(Opcode.RETINT, ops, line)]
         if m == "callint":
             dest = self._reg(ops[0], line) if ops else 31
-            return [_enc(Instruction.short(Opcode.CALLINT, dest=dest))]
+            return [encode(Instruction.short(Opcode.CALLINT, dest=dest))]
         if m == "ldhi":
-            value = self._eval(ops[1].lstrip("#"), line)
-            return [_enc(Instruction.long(Opcode.LDHI, dest=self._reg(ops[0], line), y=value))]
-        if m == "gtlpc":
-            return [_enc(Instruction.short(Opcode.GTLPC, dest=self._reg(ops[0], line)))]
-        if m == "getpsw":
-            return [_enc(Instruction.short(Opcode.GETPSW, dest=self._reg(ops[0], line)))]
-        if m == "putpsw":
-            return [_enc(Instruction.short(Opcode.PUTPSW, dest=self._reg(ops[0], line)))]
+            value = self.evaluate(ops[1].lstrip("#"), line)
+            return [encode(Instruction.long(Opcode.LDHI, dest=self._reg(ops[0], line), y=value))]
+        if m in ("gtlpc", "getpsw", "putpsw"):
+            return [encode(Instruction.short(Opcode[m.upper()], dest=self._reg(ops[0], line)))]
         # -- pseudo-instructions ------------------------------------------
         if m == "nop":
             return [NOP_WORD]
@@ -417,38 +175,26 @@ class Assembler:
         dest = self._reg(ops[0], line)
         rs1 = self._reg(ops[1], line)
         imm, s2 = self._s2(ops[2], line)
-        return _enc(Instruction.short(opcode, dest=dest, rs1=rs1, s2=s2, imm=imm, scc=scc))
+        return encode(Instruction.short(opcode, dest=dest, rs1=rs1, s2=s2, imm=imm, scc=scc))
 
     def _load(self, opcode: Opcode, ops: list[str], line: int) -> int:
         dest = self._reg(ops[0], line)
         rs1, s2, imm = self._mem(ops[1], line)
-        return _enc(Instruction.short(opcode, dest=dest, rs1=rs1, s2=s2, imm=imm))
+        return encode(Instruction.short(opcode, dest=dest, rs1=rs1, s2=s2, imm=imm))
 
     def _store(self, opcode: Opcode, ops: list[str], line: int) -> int:
         src = self._reg(ops[0], line)
         rs1, s2, imm = self._mem(ops[1], line)
-        return _enc(Instruction.short(opcode, dest=src, rs1=rs1, s2=s2, imm=imm))
+        return encode(Instruction.short(opcode, dest=src, rs1=rs1, s2=s2, imm=imm))
 
     def _jump(self, m: str, ops: list[str], address: int, line: int) -> int:
         cond = Cond.ALW if m == "jmp" else MNEMONIC_CONDS[m[1:]]
-        target = ops[0]
-        if _MEM_RE.match(target) or _IDX_RE.match(target):
-            rs1, s2, imm = self._mem(target, line)
-            return _enc(
-                Instruction.short(Opcode.JMP, dest=int(cond), rs1=rs1, s2=s2, imm=imm)
-            )
-        if _REG_RE.match(target):
-            rs1 = self._reg(target, line)
-            return _enc(
-                Instruction.short(Opcode.JMP, dest=int(cond), rs1=rs1, s2=0, imm=True)
-            )
-        value = self._eval(target, line)
-        return _enc(Instruction.long(Opcode.JMPR, dest=int(cond), y=value - address))
+        return self._transfer(Opcode.JMP, Opcode.JMPR, int(cond), ops[0], address, line)
 
     def _jmpr_explicit(self, ops: list[str], address: int, line: int) -> int:
         cond = MNEMONIC_CONDS[ops[0].lower()] if len(ops) == 2 else Cond.ALW
-        target = self._eval(ops[-1], line)
-        return _enc(Instruction.long(Opcode.JMPR, dest=int(cond), y=target - address))
+        target = self.evaluate(ops[-1], line)
+        return encode(Instruction.long(Opcode.JMPR, dest=int(cond), y=target - address))
 
     def _call(self, ops: list[str], address: int, line: int) -> int:
         # "call target" links through r31; "call rD, target" names the
@@ -459,14 +205,21 @@ class Assembler:
             dest, target = self._reg(ops[0], line), ops[1]
         else:
             raise AssemblerError(f"call needs [rd,] target, got {ops}", line)
+        return self._transfer(Opcode.CALL, Opcode.CALLR, dest, target, address, line)
+
+    def _transfer(
+        self, short: Opcode, relative: Opcode, dest: int, target: str, address: int, line: int
+    ) -> int:
+        """A jump or call: to ``offset(rB)``, ``(rB)rX`` or ``rB`` through
+        the short form, to a label through the PC-relative long form."""
         if _MEM_RE.match(target) or _IDX_RE.match(target):
             rs1, s2, imm = self._mem(target, line)
-            return _enc(Instruction.short(Opcode.CALL, dest=dest, rs1=rs1, s2=s2, imm=imm))
-        if _REG_RE.match(target):
-            rs1 = self._reg(target, line)
-            return _enc(Instruction.short(Opcode.CALL, dest=dest, rs1=rs1, s2=0, imm=True))
-        value = self._eval(target, line)
-        return _enc(Instruction.long(Opcode.CALLR, dest=dest, y=value - address))
+        elif _REG_RE.match(target):
+            rs1, s2, imm = self._reg(target, line), 0, True
+        else:
+            value = self.evaluate(target, line)
+            return encode(Instruction.long(relative, dest=dest, y=value - address))
+        return encode(Instruction.short(short, dest=dest, rs1=rs1, s2=s2, imm=imm))
 
     def _ret(self, opcode: Opcode, ops: list[str], line: int) -> int:
         if not ops:
@@ -474,15 +227,15 @@ class Assembler:
         else:
             rs1 = self._reg(ops[0], line)
             imm, s2 = self._s2(ops[1], line) if len(ops) > 1 else (True, 8)
-        return _enc(Instruction.short(opcode, dest=0, rs1=rs1, s2=s2, imm=imm))
+        return encode(Instruction.short(opcode, dest=0, rs1=rs1, s2=s2, imm=imm))
 
     def _set(self, ops: list[str], line: int) -> list[int]:
         dest = self._reg(ops[0], line)
         src = ops[1]
         if _REG_RE.match(src):
             rs = self._reg(src, line)
-            return [_enc(Instruction.short(Opcode.ADD, dest=dest, rs1=rs, s2=0, imm=True))]
-        value = self._eval(src.lstrip("#"), line)
+            return [encode(Instruction.short(Opcode.ADD, dest=dest, rs1=rs, s2=0, imm=True))]
+        value = self.evaluate(src.lstrip("#"), line)
         return self._const_words(dest, value, force_wide=self._sized_wide(src))
 
     def _sized_wide(self, src: str) -> bool:
@@ -495,20 +248,20 @@ class Assembler:
         value &= 0xFFFFFFFF
         signed = value - (1 << 32) if value & 0x80000000 else value
         if not force_wide and S2_MIN <= signed <= S2_MAX:
-            return [_enc(Instruction.short(Opcode.ADD, dest=dest, rs1=0, s2=signed, imm=True))]
+            return [encode(Instruction.short(Opcode.ADD, dest=dest, rs1=0, s2=signed, imm=True))]
         lo = value & 0x1FFF
         lo = lo - 0x2000 if lo & 0x1000 else lo
         hi = ((value - lo) >> 13) & 0x7FFFF
         hi_signed = hi - (1 << 19) if hi & (1 << 18) else hi
         return [
-            _enc(Instruction.long(Opcode.LDHI, dest=dest, y=hi_signed)),
-            _enc(Instruction.short(Opcode.ADD, dest=dest, rs1=dest, s2=lo, imm=True)),
+            encode(Instruction.long(Opcode.LDHI, dest=dest, y=hi_signed)),
+            encode(Instruction.short(Opcode.ADD, dest=dest, rs1=dest, s2=lo, imm=True)),
         ]
 
     def _mmio_store(self, reg: int, mmio: int) -> list[int]:
         words = self._const_words(SCRATCH, mmio, force_wide=True)
         words.append(
-            _enc(Instruction.short(Opcode.STL, dest=reg, rs1=SCRATCH, s2=0, imm=True))
+            encode(Instruction.short(Opcode.STL, dest=reg, rs1=SCRATCH, s2=0, imm=True))
         )
         return words
 
@@ -526,10 +279,10 @@ class Assembler:
     def _s2(self, text: str, line: int) -> tuple[bool, int]:
         text = text.strip()
         if text.startswith("#"):
-            return True, self._eval(text[1:], line)
+            return True, self.evaluate(text[1:], line)
         if _REG_RE.match(text):
             return False, self._reg(text, line)
-        return True, self._eval(text, line)
+        return True, self.evaluate(text, line)
 
     def _mem(self, text: str, line: int) -> tuple[int, int, bool]:
         """Parse an effective address; returns ``(rs1, s2, imm)``.
@@ -546,106 +299,13 @@ class Assembler:
         if not match:
             raise AssemblerError(f"expected offset(reg) or (reg)rX, got {text!r}", line)
         offset_text = match.group("off").strip().lstrip("#")
-        offset = self._eval(offset_text, line) if offset_text else 0
+        offset = self.evaluate(offset_text, line) if offset_text else 0
         return self._reg(match.group("reg"), line), offset, True
-
-    def _eval(self, text: str, line: int) -> int:
-        """Evaluate ``number | symbol | symbol±number``."""
-        text = text.strip()
-        try:
-            return _parse_number(text, line)
-        except AssemblerError:
-            pass
-        match = _EXPR_RE.match(text)
-        if not match or not match.group("sym"):
-            raise AssemblerError(f"cannot evaluate expression {text!r}", line)
-        name = match.group("sym")
-        if name not in self.symbols:
-            raise AssemblerError(f"undefined symbol {name!r}", line)
-        value = self.symbols[name]
-        if match.group("op"):
-            delta = _parse_number(match.group("num"), line)
-            value = value + delta if match.group("op") == "+" else value - delta
-        return value
 
 
 # -- module helpers ------------------------------------------------------------------
 
 NOP_WORD = encode(Instruction.short(Opcode.ADD, dest=0, rs1=0, s2=0, imm=False))
-
-
-def _enc(inst: Instruction) -> int:
-    return encode(inst)
-
-
-def _pad_words(words: list[int], expected: int, item: _Item) -> list[int]:
-    if len(words) > expected:
-        raise AssemblerError(
-            f"internal sizing error for {item.source!r}: "
-            f"{len(words)} words emitted, {expected} reserved",
-            item.line,
-        )
-    return words + [NOP_WORD] * (expected - len(words))
-
-
-def _align(value: int, boundary: int) -> int:
-    return (value + boundary - 1) // boundary * boundary
-
-
-def _strip_comment(line: str) -> str:
-    in_string = False
-    for i, ch in enumerate(line):
-        if ch == '"':
-            in_string = not in_string
-        elif not in_string and (ch == ";" or line.startswith("//", i)):
-            return line[:i]
-    return line
-
-
-def _split_operands(text: str) -> list[str]:
-    """Split on commas that are not inside quotes or parentheses."""
-    parts: list[str] = []
-    depth = 0
-    in_string = False
-    current: list[str] = []
-    for ch in text:
-        if ch == '"':
-            in_string = not in_string
-        if not in_string:
-            if ch == "(":
-                depth += 1
-            elif ch == ")":
-                depth -= 1
-            elif ch == "," and depth == 0:
-                parts.append("".join(current).strip())
-                current = []
-                continue
-        current.append(ch)
-    tail = "".join(current).strip()
-    if tail:
-        parts.append(tail)
-    return parts
-
-
-def _parse_number(text: str, line: int) -> int:
-    text = text.strip()
-    if len(text) >= 3 and text.startswith("'") and text.endswith("'"):
-        body = text[1:-1]
-        unescaped = body.encode().decode("unicode_escape")
-        if len(unescaped) != 1:
-            raise AssemblerError(f"bad character literal {text!r}", line)
-        return ord(unescaped)
-    try:
-        return int(text, 0)
-    except ValueError:
-        raise AssemblerError(f"bad number {text!r}", line) from None
-
-
-def _parse_string(operands: list[str], line: int) -> str:
-    text = ",".join(operands).strip()
-    if not (text.startswith('"') and text.endswith('"')):
-        raise AssemblerError(f"expected string literal, got {text!r}", line)
-    return text[1:-1].encode().decode("unicode_escape")
 
 
 def assemble(source: str, code_base: int = DEFAULT_CODE_BASE) -> Program:

@@ -10,8 +10,8 @@ conditional branch displacements, big-endian memory shared with the RISC
 side) are documented in DESIGN.md and favour the baseline or are neutral.
 """
 
-from repro.baselines.vax.assembler import VaxAssemblerError, assemble_vax
+from repro.baselines.vax.assembler import AssemblerError, assemble_vax
 from repro.baselines.vax.cpu import VaxCPU
 from repro.baselines.vax.timing import VaxTiming
 
-__all__ = ["VaxAssemblerError", "VaxCPU", "VaxTiming", "assemble_vax"]
+__all__ = ["AssemblerError", "VaxCPU", "VaxTiming", "assemble_vax"]

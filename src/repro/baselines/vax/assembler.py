@@ -1,4 +1,8 @@
-"""Two-pass assembler for the VAX-like baseline.
+"""Assembler for the VAX-like baseline.
+
+Line syntax, directives and layout come from :mod:`repro.asm.core`; this
+module adds what makes the machine a CISC: operand-specifier parsing,
+variable-length sizing and encoding.
 
 Operand syntax (a subset of VAX MACRO):
 
@@ -24,45 +28,32 @@ from __future__ import annotations
 import dataclasses
 import re
 
+from repro.asm.core import (
+    NAME_RE,
+    AssemblerError,
+    Statement,
+    TwoPassAssembler,
+    parse_number,
+    split_symbol,
+)
 from repro.baselines.vax.isa import INSTRUCTIONS, Mode, REGISTER_NAMES, OperandSpec
-from repro.core.program import DEFAULT_CODE_BASE, Program, Segment
+from repro.core.program import DEFAULT_CODE_BASE, Program
 
-
-class VaxAssemblerError(Exception):
-    def __init__(self, message: str, line: int | None = None):
-        self.line = line
-        super().__init__(f"line {line}: {message}" if line else message)
-
-
-_LABEL_RE = re.compile(r"^([A-Za-z_.$][\w.$]*):")
 _REG_TEXT = r"(?:r\d{1,2}|sp|fp|ap|pc)"
 _DISP_RE = re.compile(rf"^(-?\w+)\(({_REG_TEXT})\)$", re.IGNORECASE)
 _DEFERRED_RE = re.compile(rf"^\(({_REG_TEXT})\)$", re.IGNORECASE)
 _AUTOINC_RE = re.compile(rf"^\(({_REG_TEXT})\)\+$", re.IGNORECASE)
 _AUTODEC_RE = re.compile(rf"^-\(({_REG_TEXT})\)$", re.IGNORECASE)
-_NAME_RE = re.compile(r"^[A-Za-z_.$][\w.$]*$")
-_SYM_OFFSET_RE = re.compile(r"^(?P<sym>[A-Za-z_.$][\w.$]*)\s*(?P<op>[+-])\s*(?P<num>\w+)$")
-#: Profiler markers — same scheme as the RISC assembler: ``;@42`` stamps a
-#: source line, ``;@fn name`` marks a function-entry label.
-_LINE_MARKER_RE = re.compile(r";@(\d+)")
-_FN_MARKER_RE = re.compile(r";@fn\s+(\S+)")
 
 
 def _reg_lookup(name: str, line: int) -> int:
     number = REGISTER_NAMES.get(name.lower())
     if number is None:
-        raise VaxAssemblerError(f"bad register {name!r}", line)
+        raise AssemblerError(f"bad register {name!r}", line)
     return number
 
 
-def _parse_number(text: str, line: int) -> int:
-    try:
-        return int(text, 0)
-    except ValueError:
-        raise VaxAssemblerError(f"bad number {text!r}", line) from None
-
-
-@dataclasses.dataclass
+@dataclasses.dataclass(slots=True)
 class _Operand:
     """A parsed operand with enough information for exact sizing."""
 
@@ -97,32 +88,19 @@ def _disp_bytes(value: int) -> int:
     return 4
 
 
-def _symbolic(kind: str, text: str, line: int) -> "_Operand | None":
-    """Parse ``sym`` or ``sym±offset`` into a symbolic operand."""
-    if _NAME_RE.match(text):
-        return _Operand(kind, symbol=text)
-    match = _SYM_OFFSET_RE.match(text)
-    if match:
-        addend = _parse_number(match.group("num"), line)
-        if match.group("op") == "-":
-            addend = -addend
-        return _Operand(kind, symbol=match.group("sym"), addend=addend)
-    return None
-
-
 def parse_operand(text: str, line: int) -> _Operand:
     text = text.strip()
     if text.startswith("@#"):
         rest = text[2:]
-        operand = _symbolic("absolute", rest, line)
-        if operand:
-            return operand
-        return _Operand("absolute", value=_parse_number(rest, line))
+        expr = split_symbol(rest, line)
+        if expr:
+            return _Operand("absolute", symbol=expr[0], addend=expr[1])
+        return _Operand("absolute", value=parse_number(rest, line))
     if text.startswith("#"):
         rest = text[1:]
-        if _NAME_RE.match(rest) and not rest.lstrip("-").isdigit():
+        if NAME_RE.match(rest) and not rest.lstrip("-").isdigit():
             return _Operand("immediate", symbol=rest)
-        value = _parse_number(rest, line)
+        value = parse_number(rest, line)
         if 0 <= value <= 63:
             return _Operand("literal", value=value)
         return _Operand("immediate", value=value)
@@ -140,239 +118,81 @@ def parse_operand(text: str, line: int) -> _Operand:
         return _Operand("deferred", reg=_reg_lookup(match.group(1), line))
     match = _DISP_RE.match(text)
     if match:
-        disp = _parse_number(match.group(1), line)
+        disp = parse_number(match.group(1), line)
         return _Operand("disp", reg=_reg_lookup(match.group(2), line), value=disp)
-    if _NAME_RE.match(text):
+    if NAME_RE.match(text):
         return _Operand("symbol", symbol=text)
-    raise VaxAssemblerError(f"cannot parse operand {text!r}", line)
+    raise AssemblerError(f"cannot parse operand {text!r}", line)
 
 
-@dataclasses.dataclass
-class _Item:
-    kind: str  # "inst" or "data"
-    mnemonic: str
-    operands: list[str]
-    line: int
-    source: str
-    section: str
-    offset: int = 0
-    size: int = 0
-    #: enclosing function and high-level source line (profiler line table)
-    func: str = ""
-    src_line: int = 0
+class VaxAssembler(TwoPassAssembler):
+    """VAX-like: a one-byte opcode followed by variable-length operand specifiers."""
 
+    DATA_WIDTHS = {".long": 4, ".word": 2, ".byte": 1}
+    ENTRY_SYMBOLS = ("__start", "main")
+    TARGET_DIRECTIVES = frozenset({".entry"})
+    DATA_IN_TEXT = True
 
-class VaxAssembler:
-    def __init__(self, code_base: int = DEFAULT_CODE_BASE):
-        self.code_base = code_base
-        self.symbols: dict[str, int] = {}
-        self._sym_sections: dict[str, tuple[str, int]] = {}
-        self.equates: dict[str, int] = {}
-        self._items: list[_Item] = []
-
-    # -- public ----------------------------------------------------------------
-
-    def assemble(self, source: str) -> Program:
-        self._pass1(source)
-        code_size = max(
-            (i.offset + i.size for i in self._items if i.section == "text"), default=0
-        )
-        data_base = (self.code_base + code_size + 255) // 256 * 256
-        bases = {"text": self.code_base, "data": data_base}
-        for name, (section, offset) in self._sym_sections.items():
-            self.symbols[name] = bases[section] + offset
-        self.symbols.update(self.equates)
-        code, data, line_table = self._pass2(bases)
-        segments = [Segment(self.code_base, bytes(code), name="code")]
-        if data:
-            segments.append(Segment(data_base, bytes(data), name="data"))
-        entry = self.symbols.get("__start", self.symbols.get("main"))
-        if entry is None:
-            raise VaxAssemblerError("no entry point: define __start or main")
-        return Program(
-            tuple(segments), entry, dict(self.symbols), line_table=line_table
-        )
-
-    # -- pass 1 -----------------------------------------------------------------
-
-    def _pass1(self, source: str) -> None:
-        section = "text"
-        offsets = {"text": 0, "data": 0}
-        # ;@fn markers (compiler output) decide function boundaries when
-        # present; otherwise every non-local .text label opens a function.
-        fn_markers = ";@fn" in source
-        cur_func = ""
-        for lineno, raw in enumerate(source.splitlines(), start=1):
-            stripped = _strip_comment(raw)
-            comment = raw[len(stripped) :]
-            line = stripped.strip()
-            fn = _FN_MARKER_RE.search(comment)
-            if fn:
-                cur_func = fn.group(1)
-            while True:
-                match = _LABEL_RE.match(line)
-                if not match:
-                    break
-                name = match.group(1)
-                if name in self._sym_sections:
-                    raise VaxAssemblerError(f"duplicate label {name!r}", lineno)
-                self._sym_sections[name] = (section, offsets[section])
-                if not fn_markers and section == "text" and not name.startswith("."):
-                    cur_func = name
-                line = line[match.end() :].strip()
-            if not line:
-                continue
-            parts = line.split(None, 1)
-            mnemonic = parts[0].lower()
-            operands = _split_operands(parts[1]) if len(parts) > 1 else []
-            if mnemonic == ".text":
-                section = "text"
-                continue
-            if mnemonic == ".data":
-                section = "data"
-                continue
-            if mnemonic == ".global":
-                continue
-            if mnemonic == ".equ":
-                self.equates[operands[0]] = _parse_number(operands[1], lineno)
-                continue
-            item = _Item("inst" if not mnemonic.startswith(".") else "data",
-                         mnemonic, operands, lineno, line, section, offsets[section])
-            if section == "text":
-                src = _LINE_MARKER_RE.search(comment)
-                item.func = cur_func
-                item.src_line = int(src.group(1)) if src else 0
-            item.size = self._sizeof(item, offsets[section])
-            offsets[section] += item.size
-            self._items.append(item)
-
-    def _sizeof(self, item: _Item, offset: int) -> int:
-        m = item.mnemonic
+    def size(self, stmt: Statement) -> int:
+        m = stmt.mnemonic
         if m == ".entry":
             return 2
-        if m == ".long":
-            return 4 * len(item.operands)
-        if m == ".word":
-            return 2 * len(item.operands)
-        if m == ".byte":
-            return len(item.operands)
-        if m == ".space":
-            return _parse_number(item.operands[0], item.line)
-        if m == ".align":
-            boundary = _parse_number(item.operands[0], item.line)
-            return (-offset) % boundary
-        if m in (".ascii", ".asciiz"):
-            text = _parse_string(item.operands, item.line)
-            return len(text) + (1 if m == ".asciiz" else 0)
-        if m.startswith("."):
-            raise VaxAssemblerError(f"unknown directive {m!r}", item.line)
         info = INSTRUCTIONS.get(m)
         if info is None:
-            raise VaxAssemblerError(f"unknown mnemonic {m!r}", item.line)
-        if len(item.operands) != len(info.operands):
-            raise VaxAssemblerError(
-                f"{m} expects {len(info.operands)} operand(s), got {len(item.operands)}",
-                item.line,
+            raise AssemblerError(f"unknown mnemonic {m!r}", stmt.line)
+        if len(stmt.operands) != len(info.operands):
+            raise AssemblerError(
+                f"{m} expects {len(info.operands)} operand(s), got {len(stmt.operands)}",
+                stmt.line,
             )
-        size = 1
-        for text, spec in zip(item.operands, info.operands):
-            operand = parse_operand(text, item.line)
-            size += operand.size(spec.width, spec.access)
-        return size
+        stmt.parsed = [parse_operand(text, stmt.line) for text in stmt.operands]
+        return 1 + sum(
+            operand.size(spec.width, spec.access)
+            for operand, spec in zip(stmt.parsed, info.operands)
+        )
 
-    # -- pass 2 -----------------------------------------------------------------
+    def encode(self, stmt: Statement, address: int) -> bytes:
+        if stmt.mnemonic == ".entry":
+            mask = parse_number(stmt.operands[0], stmt.line) if stmt.operands else 0
+            return mask.to_bytes(2, "big")
+        info = INSTRUCTIONS[stmt.mnemonic]
+        out = bytearray([info.opcode])
+        for operand, spec in zip(stmt.parsed, info.operands):
+            out += self._encode_operand(operand, spec, address + len(out), stmt.line)
+        return bytes(out)
 
-    def _pass2(
-        self, bases: dict[str, int]
-    ) -> tuple[bytearray, bytearray, dict[int, tuple[str, int]]]:
-        code = bytearray()
-        data = bytearray()
-        line_table: dict[int, tuple[str, int]] = {}
-        for item in self._items:
-            out = code if item.section == "text" else data
-            if len(out) != item.offset:
-                out.extend(b"\0" * (item.offset - len(out)))
-            if item.section == "text":
-                line_table[bases["text"] + item.offset] = (item.func, item.src_line)
-            if item.mnemonic.startswith("."):
-                self._emit_data(item, out)
-            else:
-                self._emit_instruction(item, out, bases["text"])
-            if len(out) - item.offset != item.size:
-                raise VaxAssemblerError(
-                    f"sizing mismatch for {item.source!r}: reserved {item.size}, "
-                    f"emitted {len(out) - item.offset}",
-                    item.line,
-                )
-        return code, data, line_table
-
-    def _resolve(self, symbol: str, line: int) -> int:
-        if symbol not in self.symbols:
-            raise VaxAssemblerError(f"undefined symbol {symbol!r}", line)
-        return self.symbols[symbol]
-
-    def _emit_data(self, item: _Item, out: bytearray) -> None:
-        m = item.mnemonic
-        if m == ".entry":
-            mask = _parse_number(item.operands[0], item.line) if item.operands else 0
-            out.extend(mask.to_bytes(2, "big"))
-        elif m in (".long", ".word", ".byte"):
-            width = {".long": 4, ".word": 2, ".byte": 1}[m]
-            for text in item.operands:
-                if _NAME_RE.match(text) and not text.lstrip("-").isdigit():
-                    value = self._resolve(text, item.line)
-                else:
-                    value = _parse_number(text, item.line)
-                out.extend((value & ((1 << (8 * width)) - 1)).to_bytes(width, "big"))
-        elif m in (".ascii", ".asciiz"):
-            text = _parse_string(item.operands, item.line)
-            out.extend(text.encode("latin-1"))
-            if m == ".asciiz":
-                out.append(0)
-        elif m in (".space", ".align"):
-            out.extend(b"\0" * item.size)
-
-    def _emit_instruction(self, item: _Item, out: bytearray, text_base: int) -> None:
-        info = INSTRUCTIONS[item.mnemonic]
-        address = text_base + item.offset
-        out.append(info.opcode)
-        cursor = address + 1
-        for text, spec in zip(item.operands, info.operands):
-            operand = parse_operand(text, item.line)
-            encoded = self._encode_operand(operand, spec, cursor, item.line)
-            out.extend(encoded)
-            cursor += len(encoded)
+    def _value(self, operand: _Operand, line: int) -> int:
+        """A symbolic operand's resolved address, else its number."""
+        if operand.symbol:
+            return self.resolve(operand.symbol, line) + operand.addend
+        return operand.value
 
     def _encode_operand(
         self, operand: _Operand, spec: OperandSpec, cursor: int, line: int
     ) -> bytes:
         if spec.access == "b":
             if operand.kind == "symbol":
-                target = self._resolve(operand.symbol, line)
+                target = self.resolve(operand.symbol, line)
             elif operand.kind in ("immediate", "literal"):
                 target = operand.value
             else:
-                raise VaxAssemblerError("branch needs a label or address", line)
+                raise AssemblerError("branch needs a label or address", line)
             disp = target - (cursor + 2)
             if not -32768 <= disp <= 32767:
-                raise VaxAssemblerError(f"branch displacement {disp} out of range", line)
+                raise AssemblerError(f"branch displacement {disp} out of range", line)
             return disp.to_bytes(2, "big", signed=True)
 
         kind = operand.kind
         if kind == "symbol":
             # bare symbol: absolute for address operands, immediate otherwise
-            value = self._resolve(operand.symbol, line) + operand.addend
+            value = self._value(operand, line)
             if spec.access == "a":
                 return bytes([(Mode.ABSOLUTE << 4) | 15]) + value.to_bytes(4, "big")
             return bytes([(Mode.AUTOINC << 4) | 15]) + (value & 0xFFFFFFFF).to_bytes(4, "big")
         if kind == "literal":
             return bytes([operand.value & 0x3F])
         if kind == "immediate":
-            value = (
-                self._resolve(operand.symbol, line) + operand.addend
-                if operand.symbol
-                else operand.value
-            )
+            value = self._value(operand, line)
             mask = (1 << (8 * spec.width)) - 1
             return bytes([(Mode.AUTOINC << 4) | 15]) + (value & mask).to_bytes(
                 spec.width, "big"
@@ -386,11 +206,7 @@ class VaxAssembler:
         if kind == "autodec":
             return bytes([(Mode.AUTODEC << 4) | operand.reg])
         if kind == "absolute":
-            value = (
-                self._resolve(operand.symbol, line) + operand.addend
-                if operand.symbol
-                else operand.value
-            )
+            value = self._value(operand, line)
             return bytes([(Mode.ABSOLUTE << 4) | 15]) + (value & 0xFFFFFFFF).to_bytes(4, "big")
         if kind == "disp":
             size = _disp_bytes(operand.value)
@@ -399,47 +215,6 @@ class VaxAssembler:
                 size, "big", signed=True
             )
         raise AssertionError(kind)
-
-
-def _strip_comment(line: str) -> str:
-    in_string = False
-    for i, ch in enumerate(line):
-        if ch == '"':
-            in_string = not in_string
-        elif not in_string and ch == ";":
-            return line[:i]
-    return line
-
-
-def _split_operands(text: str) -> list[str]:
-    parts: list[str] = []
-    depth = 0
-    in_string = False
-    current: list[str] = []
-    for ch in text:
-        if ch == '"':
-            in_string = not in_string
-        if not in_string:
-            if ch == "(":
-                depth += 1
-            elif ch == ")":
-                depth -= 1
-            elif ch == "," and depth == 0:
-                parts.append("".join(current).strip())
-                current = []
-                continue
-        current.append(ch)
-    tail = "".join(current).strip()
-    if tail:
-        parts.append(tail)
-    return parts
-
-
-def _parse_string(operands: list[str], line: int) -> str:
-    text = ",".join(operands).strip()
-    if not (text.startswith('"') and text.endswith('"')):
-        raise VaxAssemblerError(f"expected string literal, got {text!r}", line)
-    return text[1:-1].encode().decode("unicode_escape")
 
 
 def assemble_vax(source: str, code_base: int = DEFAULT_CODE_BASE) -> Program:

@@ -114,7 +114,6 @@ class VaxCPU(MachineShell):
         timing: VaxTiming | None = None,
         tracer=None,
         metrics=None,
-        decode_cache: bool = True,
     ):
         # real VAX permits unaligned operands, so no alignment trap here
         memory = Memory(memory_size, check_alignment=False)
@@ -130,7 +129,7 @@ class VaxCPU(MachineShell):
         #: Operand *values* are not cached — the evaluators re-read
         #: registers and apply autoincrement/autodecrement per execution.
         self._decode_cache: dict = {}
-        self._use_cache = decode_cache
+        self._use_cache = True
         #: Optional per-instruction hook ``fn(pc, info, operands,
         #: branch_disp)``, fired after operand evaluation and before
         #: execution — identically on both engine paths (there is one
@@ -151,15 +150,12 @@ class VaxCPU(MachineShell):
     def _run_steps(self, limit: int, engine: str) -> None:
         """``"fast"`` replays the per-PC operand decode cache,
         ``"reference"`` re-parses every instruction."""
-        use_cache_before = self._use_cache
-        # ``decode_cache=False`` at construction is a hard off-switch;
-        # otherwise the engine selection decides
-        self._use_cache = use_cache_before and engine == "fast"
+        self._use_cache = engine == "fast"
         try:
             for _ in range(limit):
                 self.step()
         finally:
-            self._use_cache = use_cache_before
+            self._use_cache = True
 
     def step(self) -> None:
         pc = self.pc

@@ -23,6 +23,7 @@ slot would read the wrong byte.
 from __future__ import annotations
 
 from repro.cc import ir
+from repro.cc.codegen import FunctionCodegen, ModuleCodegen
 from repro.cc.errors import CompileError
 from repro.cc.regalloc import allocate
 from repro.cc.sema import VarInfo
@@ -52,16 +53,12 @@ __puts_done:
 """
 
 
-class _FunctionCodegen:
+class _FunctionCodegen(FunctionCodegen):
+    """Places variables in memory and lowers IR to VAX-like instructions."""
+
     def __init__(self, func: ir.IRFunction, used_runtime: set[str]):
-        self.func = func
-        self.used_runtime = used_runtime
-        self.lines: list[str] = []
         self.var_text: dict[VarInfo, str] = {}
-        self._label_count = 0
-        self.frame_size = 0
-        self._cur_line = func.line
-        self._place_variables()
+        super().__init__(func, used_runtime)
 
     # -- placement ---------------------------------------------------------
 
@@ -77,27 +74,6 @@ class _FunctionCodegen:
         self._locals_size = offset
         offset += 4 * self.alloc.num_spill_slots
         self.frame_size = (offset + 3) & ~3
-
-    def _var_address_base(self, var: VarInfo) -> tuple[str, int]:
-        """(base register, offset) for AddrVar of a frame variable."""
-        text = self.var_text[var]
-        offset, reg = text.split("(")
-        return reg.rstrip(")"), int(offset)
-
-    # -- emission -------------------------------------------------------------
-
-    def emit(self, text: str) -> None:
-        if self._cur_line:
-            self.lines.append(f"    {text}\t;@{self._cur_line}")
-        else:
-            self.lines.append(f"    {text}")
-
-    def emit_label(self, name: str) -> None:
-        self.lines.append(f"{name}:")
-
-    def _local_label(self, hint: str) -> str:
-        self._label_count += 1
-        return f".{hint}_{self.func.name}_{self._label_count}"
 
     # -- operands -----------------------------------------------------------------
 
@@ -127,65 +103,40 @@ class _FunctionCodegen:
 
     # -- body -----------------------------------------------------------------------
 
-    def generate(self) -> list[str]:
-        body: list[str] = []
-        saved_lines = self.lines
-        self.lines = body
-        for instr in self.func.instrs:
-            self._gen(instr)
-        self.lines = saved_lines
-
+    def _prologue(self) -> None:
         mask = 0
         for reg in set(self.alloc.registers.values()):
             mask |= 1 << reg
-        self._cur_line = self.func.line  # prologue belongs to the definition line
-        self.lines.append(f"{self.func.name}:\t;@fn {self.func.name}")
         self.emit(f".entry {mask:#06x}")
         if self.frame_size:
             self.emit(f"subl2 #{self.frame_size}, sp")
-        self.lines.extend(body)
-        return self.lines
 
-    def _gen(self, instr: ir.Instr) -> None:
-        if isinstance(instr, ir.Marker):
-            return  # statement markers are profiling-only
-        if isinstance(instr, ir.SrcLoc):
-            self._cur_line = instr.line
-            return
-        if isinstance(instr, ir.Label):
-            self.emit_label(instr.name)
-        elif isinstance(instr, ir.Const):
-            self.emit(f"movl #{instr.value}, {self.dest(instr.dst)}")
-        elif isinstance(instr, (ir.Move, ir.GetVar)):
-            src = instr.src if isinstance(instr, ir.Move) else instr.var
-            self.emit(f"movl {self.operand(src)}, {self.dest(instr.dst)}")
-        elif isinstance(instr, ir.SetVar):
-            self.emit(f"movl {self.operand(instr.src)}, {self.operand(instr.var)}")
-        elif isinstance(instr, ir.AddrVar):
-            self._gen_addrvar(instr)
-        elif isinstance(instr, ir.UnOp):
-            self._gen_unop(instr)
-        elif isinstance(instr, ir.BinOp):
-            self._gen_binop(instr)
-        elif isinstance(instr, ir.SetCmp):
-            self._gen_setcmp(instr)
-        elif isinstance(instr, ir.Load):
-            self._gen_load(instr)
-        elif isinstance(instr, ir.Store):
-            self._gen_store(instr)
-        elif isinstance(instr, ir.Call):
-            self._gen_call(instr)
-        elif isinstance(instr, ir.Jump):
-            self.emit(f"brw {instr.target}")
-        elif isinstance(instr, ir.CBranch):
-            self.emit(f"cmpl {self.operand(instr.a)}, {self.operand(instr.b)}")
-            self.emit(f"{_REL_BRANCH[instr.op]} {instr.target}")
-        elif isinstance(instr, ir.Ret):
-            if instr.src is not None:
-                self.emit(f"movl {self.operand(instr.src)}, r0")
-            self.emit("ret")
-        else:
-            raise CompileError(f"ciscgen: unhandled IR {type(instr).__name__}")
+    def _gen_const(self, instr: ir.Const) -> None:
+        self._movl(instr.value, instr.dst)
+
+    def _gen_move(self, instr: ir.Move) -> None:
+        self._movl(instr.src, instr.dst)
+
+    def _gen_getvar(self, instr: ir.GetVar) -> None:
+        self._movl(instr.var, instr.dst)
+
+    def _gen_setvar(self, instr: ir.SetVar) -> None:
+        self._movl(instr.src, instr.var)
+
+    def _movl(self, src: ir.Operand, dst: ir.Operand) -> None:
+        self.emit(f"movl {self.operand(src)}, {self.operand(dst)}")
+
+    def _gen_jump(self, instr: ir.Jump) -> None:
+        self.emit(f"brw {instr.target}")
+
+    def _gen_cbranch(self, instr: ir.CBranch) -> None:
+        self.emit(f"cmpl {self.operand(instr.a)}, {self.operand(instr.b)}")
+        self.emit(f"{_REL_BRANCH[instr.op]} {instr.target}")
+
+    def _gen_ret(self, instr: ir.Ret) -> None:
+        if instr.src is not None:
+            self.emit(f"movl {self.operand(instr.src)}, r0")
+        self.emit("ret")
 
     def _gen_addrvar(self, instr: ir.AddrVar) -> None:
         var = instr.var
@@ -308,53 +259,17 @@ class _FunctionCodegen:
             self.emit(f"movl r0, {self.dest(instr.dst)}")
 
 
-class CiscCodegen:
+class CiscCodegen(ModuleCodegen):
     """Generates a complete VAX-like assembly module from an IR program."""
 
-    def __init__(self, program: ir.IRProgram):
-        self.program = program
-        self.used_runtime: set[str] = set()
+    BACKEND = "VAX-like CISC backend"
+    ENTRY = "__start"
+    START = ("calls #0, main", f"movl r0, {MMIO_HALT}")
+    WORD = ".long"
+    FUNCTION = _FunctionCodegen
 
-    def generate(self) -> str:
-        lines: list[str] = ["; generated by rcc (VAX-like CISC backend)", "    .text"]
-        lines += [
-            "__start:\t;@fn __start",
-            "    calls #0, main",
-            f"    movl r0, {MMIO_HALT}",
-        ]
-        for func in self.program.functions:
-            codegen = _FunctionCodegen(func, self.used_runtime)
-            lines.extend(codegen.generate())
-        if "__puts" in self.used_runtime:
-            lines.append(PUTS_RUNTIME)
-        lines.extend(self._data_section())
-        return "\n".join(lines) + "\n"
-
-    def _data_section(self) -> list[str]:
-        lines: list[str] = []
-        if not self.program.globals and not self.program.strings:
-            return lines
-        lines.append("    .data")
-        for gdef in self.program.globals:
-            var = gdef.var
-            lines.append("    .align 4")
-            if var.type.is_array:
-                lines.append(f"{var.name}: .space {var.type.size}")
-            elif gdef.init_string is not None:
-                lines.append(f"{var.name}: .long {gdef.init_string}")
-            else:
-                lines.append(f"{var.name}: .long {gdef.init_value or 0}")
-        for label, text in self.program.strings.items():
-            escaped = (
-                text.replace("\\", "\\\\")
-                .replace('"', '\\"')
-                .replace("\n", "\\n")
-                .replace("\t", "\\t")
-                .replace("\r", "\\r")
-                .replace("\0", "\\0")
-            )
-            lines.append(f'{label}: .asciiz "{escaped}"')
-        return lines
+    def runtime(self) -> str:
+        return PUTS_RUNTIME if "__puts" in self.used_runtime else ""
 
 
 def generate_cisc_assembly(program: ir.IRProgram) -> str:

@@ -29,19 +29,20 @@ from __future__ import annotations
 import dataclasses
 import re
 
+from repro.asm.core import MARKER_TAIL
+
 _SAFE_OPS = {
     "add", "addc", "sub", "subc", "subr", "subcr",
     "and", "or", "xor", "sll", "srl", "sra",
     "ldl", "ldsu", "ldss", "ldbu", "ldbs",
     "stl", "sts", "stb", "ldhi", "mov",
 }
-#: Both patterns tolerate a trailing ``;@`` *marker* comment — the code
-#: generators suffix instructions with ``;@line`` and function labels with
-#: ``;@fn name`` for the profiler's line table.  Ordinary ``; prose``
-#: comments still disqualify a line, exactly as before the markers
-#: existed, so hand-written assembly keeps its historical fill behavior.
-_JUMP_RE = re.compile(r"^\s*(jmp|j[a-z]+)\s+(\S+)\s*(?:;@.*)?$")
-_LABEL_RE = re.compile(r"^([^\s;]+):\s*(?:;@.*)?$")
+#: Both patterns tolerate a trailing profiler marker comment (see
+#: :mod:`repro.asm.core`).  Ordinary ``; prose`` comments still disqualify
+#: a line, exactly as before the markers existed, so hand-written
+#: assembly keeps its historical fill behavior.
+_JUMP_RE = re.compile(rf"^\s*(jmp|j[a-z]+)\s+(\S+)\s*{MARKER_TAIL}$")
+_LABEL_RE = re.compile(rf"^([^\s;]+):\s*{MARKER_TAIL}$")
 _REG_RE = re.compile(r"\br(\d{1,2})\b")
 
 

@@ -19,8 +19,10 @@ Lowering decisions, in the spirit of the paper's own (simple) C compiler:
 from __future__ import annotations
 
 from repro.cc import ir
+from repro.cc.codegen import FunctionCodegen, ModuleCodegen
 from repro.cc.errors import CompileError
 from repro.cc.regalloc import allocate
+from repro.cc.runtime import runtime_text
 from repro.cc.sema import VarInfo
 from repro.isa.encoding import S2_MAX, S2_MIN
 
@@ -47,19 +49,13 @@ def _fits(value: int) -> bool:
     return S2_MIN <= value <= S2_MAX
 
 
-class _FunctionCodegen:
-    """Emits one function's assembly lines."""
+class _FunctionCodegen(FunctionCodegen):
+    """Places variables in window registers and lowers IR to RISC I."""
 
     def __init__(self, func: ir.IRFunction, used_runtime: set[str]):
-        self.func = func
-        self.used_runtime = used_runtime
-        self.lines: list[str] = []
         self.var_reg: dict[VarInfo, int] = {}
         self.var_slot: dict[VarInfo, int] = {}
-        self._label_count = 0
-        self.frame_size = 0
-        self._cur_line = func.line
-        self._place_variables()
+        super().__init__(func, used_runtime)
 
     # -- placement --------------------------------------------------------
 
@@ -104,21 +100,6 @@ class _FunctionCodegen:
         self.spill_base = offset
         offset += 4 * self.alloc.num_spill_slots
         self.frame_size = (offset + 7) & ~7
-
-    # -- emission helpers ------------------------------------------------------
-
-    def emit(self, text: str) -> None:
-        if self._cur_line:
-            self.lines.append(f"    {text}\t;@{self._cur_line}")
-        else:
-            self.lines.append(f"    {text}")
-
-    def emit_label(self, name: str) -> None:
-        self.lines.append(f"{name}:")
-
-    def _local_label(self, hint: str) -> str:
-        self._label_count += 1
-        return f".{hint}_{self.func.name}_{self._label_count}"
 
     # -- operand access -----------------------------------------------------------
 
@@ -183,63 +164,30 @@ class _FunctionCodegen:
 
     # -- instruction emission ----------------------------------------------------
 
-    def generate(self) -> list[str]:
-        func = self.func
-        self.lines.append(f"{func.name}:\t;@fn {func.name}")
+    def _prologue(self) -> None:
         if self.frame_size:
             self.emit(f"add r1, r1, #-{self.frame_size}")
-        for i, param in enumerate(func.params):
+        for i, param in enumerate(self.func.params):
             if param in self.var_slot:
                 self.emit(f"stl r{26 + i}, {self.var_slot[param]}(r1)")
-        for instr in func.instrs:
-            self._gen(instr)
-        return self.lines
 
-    def _gen(self, instr: ir.Instr) -> None:
-        if isinstance(instr, ir.Marker):
-            return  # statement markers are profiling-only
-        if isinstance(instr, ir.SrcLoc):
-            self._cur_line = instr.line
-            return
-        if isinstance(instr, ir.Label):
-            self.emit_label(instr.name)
-        elif isinstance(instr, ir.Const):
-            reg = self.dest_reg(instr.dst)
-            self.move_to(reg, instr.value)
-            self.commit(instr.dst, reg)
-        elif isinstance(instr, ir.Move):
-            reg = self.dest_reg(instr.dst)
-            self.move_to(reg, instr.src)
-            self.commit(instr.dst, reg)
-        elif isinstance(instr, ir.GetVar):
-            reg = self.dest_reg(instr.dst)
-            self.move_to(reg, instr.var)
-            self.commit(instr.dst, reg)
-        elif isinstance(instr, ir.SetVar):
-            self._gen_setvar(instr)
-        elif isinstance(instr, ir.AddrVar):
-            self._gen_addrvar(instr)
-        elif isinstance(instr, ir.UnOp):
-            self._gen_unop(instr)
-        elif isinstance(instr, ir.BinOp):
-            self._gen_binop(instr)
-        elif isinstance(instr, ir.SetCmp):
-            self._gen_setcmp(instr)
-        elif isinstance(instr, ir.Load):
-            self._gen_load(instr)
-        elif isinstance(instr, ir.Store):
-            self._gen_store(instr)
-        elif isinstance(instr, ir.Call):
-            self._gen_call(instr)
-        elif isinstance(instr, ir.Jump):
-            self.emit(f"jmp {instr.target}")
-            self.emit("nop")
-        elif isinstance(instr, ir.CBranch):
-            self._gen_cbranch(instr)
-        elif isinstance(instr, ir.Ret):
-            self._gen_ret(instr)
-        else:
-            raise CompileError(f"riscgen: unhandled IR {type(instr).__name__}")
+    def _gen_const(self, instr: ir.Const) -> None:
+        self._copy(instr.dst, instr.value)
+
+    def _gen_move(self, instr: ir.Move) -> None:
+        self._copy(instr.dst, instr.src)
+
+    def _gen_getvar(self, instr: ir.GetVar) -> None:
+        self._copy(instr.dst, instr.var)
+
+    def _copy(self, dst: ir.Temp, src: ir.Operand) -> None:
+        reg = self.dest_reg(dst)
+        self.move_to(reg, src)
+        self.commit(dst, reg)
+
+    def _gen_jump(self, instr: ir.Jump) -> None:
+        self.emit(f"jmp {instr.target}")
+        self.emit("nop")
 
     def _gen_setvar(self, instr: ir.SetVar) -> None:
         var = instr.var
@@ -307,10 +255,7 @@ class _FunctionCodegen:
         self.move_to("r11", instr.b)
         self.emit(f"call {name}")
         self.emit("nop")
-        reg = self.dest_reg(instr.dst)
-        if reg != "r10":
-            self.emit(f"add {reg}, r10, #0")
-        self.commit(instr.dst, reg if reg != "r10" else "r10")
+        self._take_result(instr.dst)
 
     def _emit_setcc_pattern(self, reg: str, cond: str, a_reg: str, s2: str) -> None:
         done = self._local_label("scc")
@@ -392,10 +337,14 @@ class _FunctionCodegen:
         self.emit(f"call {name}")
         self.emit("nop")
         if instr.dst is not None:
-            reg = self.dest_reg(instr.dst)
-            if reg != "r10":
-                self.emit(f"add {reg}, r10, #0")
-            self.commit(instr.dst, reg if reg != "r10" else "r10")
+            self._take_result(instr.dst)
+
+    def _take_result(self, dst: ir.Temp) -> None:
+        """Move a call's result out of r10 into ``dst``."""
+        reg = self.dest_reg(dst)
+        if reg != "r10":
+            self.emit(f"add {reg}, r10, #0")
+        self.commit(dst, reg)
 
     def _gen_ret(self, instr: ir.Ret) -> None:
         if instr.src is not None:
@@ -407,50 +356,17 @@ class _FunctionCodegen:
             self.emit("nop")
 
 
-class RiscCodegen:
+class RiscCodegen(ModuleCodegen):
     """Generates a complete RISC I assembly module from an IR program."""
 
-    def __init__(self, program: ir.IRProgram):
-        self.program = program
-        self.used_runtime: set[str] = set()
+    BACKEND = "RISC I backend"
+    ENTRY = "_start"
+    START = ("call main", "nop", "halt r10")
+    WORD = ".word"
+    FUNCTION = _FunctionCodegen
 
-    def generate(self) -> str:
-        from repro.cc.runtime import runtime_text
-
-        lines: list[str] = ["; generated by rcc (RISC I backend)", "    .text"]
-        lines += [
-            "_start:\t;@fn _start",
-            "    call main",
-            "    nop",
-            "    halt r10",
-        ]
-        for func in self.program.functions:
-            codegen = _FunctionCodegen(func, self.used_runtime)
-            lines.extend(codegen.generate())
-        runtime = runtime_text(self.used_runtime)
-        if runtime:
-            lines.append(runtime)
-        lines.extend(self._data_section())
-        return "\n".join(lines) + "\n"
-
-    def _data_section(self) -> list[str]:
-        lines: list[str] = []
-        if not self.program.globals and not self.program.strings:
-            return lines
-        lines.append("    .data")
-        for gdef in self.program.globals:
-            var = gdef.var
-            lines.append("    .align 4")
-            if var.type.is_array:
-                lines.append(f"{var.name}: .space {var.type.size}")
-            elif gdef.init_string is not None:
-                lines.append(f"{var.name}: .word {gdef.init_string}")
-            else:
-                lines.append(f"{var.name}: .word {gdef.init_value or 0}")
-        for label, text in self.program.strings.items():
-            escaped = text.replace("\\", "\\\\").replace('"', '\\"').replace("\n", "\\n").replace("\t", "\\t").replace("\r", "\\r").replace("\0", "\\0")
-            lines.append(f'{label}: .asciiz "{escaped}"')
-        return lines
+    def runtime(self) -> str:
+        return runtime_text(self.used_runtime)
 
 
 def generate_risc_assembly(program: ir.IRProgram) -> str:

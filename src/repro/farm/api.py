@@ -40,7 +40,7 @@ from repro.farm.jobs import (
     execute_job,
     ir_job,
 )
-from repro.farm.pool import PoolBroken, WorkerPool, default_batch_size
+from repro.farm.pool import PoolBroken, WorkerPool
 from repro.farm.runner import cache_enabled, job_metrics, run_job
 
 __all__ = [

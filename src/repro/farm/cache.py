@@ -18,13 +18,8 @@ from __future__ import annotations
 import dataclasses
 import json
 import os
-import pickle
 import tempfile
 from pathlib import Path
-
-#: Pickle protocol pinned so artifacts written by one Python 3.10+ worker
-#: load in any other.
-PICKLE_PROTOCOL = 4
 
 
 def default_cache_root() -> Path:
@@ -135,21 +130,6 @@ class ArtifactCache:
     def store_json(self, key: str, payload) -> Path:
         blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
         return self.store_blob(key, "json", blob.encode("utf-8"))
-
-    def load_pickle(self, key: str):
-        """A stored pickled artifact, or None on miss/corruption."""
-        data = self.load_blob(key, "pkl")
-        if data is None:
-            return None
-        try:
-            return pickle.loads(data)
-        except Exception:
-            self.stats.hits -= 1
-            self.discard_corrupt(self.path_for(key, "pkl"))
-            return None
-
-    def store_pickle(self, key: str, value) -> Path:
-        return self.store_blob(key, "pkl", pickle.dumps(value, protocol=PICKLE_PROTOCOL))
 
     # -- inventory / eviction ---------------------------------------------------
 

@@ -50,6 +50,9 @@ __all__ = ["PoolBroken", "PoolOutcome", "WorkerPool", "default_batch_size"]
 #: How long the collector waits on the result queue before checking
 #: worker liveness (seconds).
 _POLL_S = 0.1
+#: How often a worker checks that the pool's process is still alive
+#: (seconds).
+_PARENT_POLL_S = 0.5
 
 #: How many trailing stderr bytes a crash report carries.
 _STDERR_TAIL = 2000
@@ -133,8 +136,22 @@ def _maybe_test_crash(job) -> None:
     os._exit(66)
 
 
-def _worker_main(worker_id, task_q, result_q, cache_root, stderr_path, shard):
+def _exit_with_parent(parent_pid: int) -> None:
+    """Watchdog: end this worker once the pool's process is gone.
+
+    A pool owner killed without draining (SIGKILL, OOM) never sends the
+    stop sentinel; the orphan is re-parented and its ``getppid`` changes.
+    """
+    while os.getppid() == parent_pid:
+        time.sleep(_PARENT_POLL_S)
+    os._exit(0)
+
+
+def _worker_main(worker_id, task_q, result_q, cache_root, stderr_path, shard, parent_pid):
     """Worker process entry: pull batches until the stop sentinel."""
+    threading.Thread(
+        target=_exit_with_parent, args=(parent_pid,), name="parent-watch", daemon=True
+    ).start()
     try:
         handle = open(stderr_path, "a", buffering=1, encoding="utf-8")
         os.dup2(handle.fileno(), 2)
@@ -307,6 +324,7 @@ class WorkerPool:
                 self.cache_root,
                 str(stderr_path),
                 shard,
+                os.getpid(),
             ),
             daemon=True,
             name=f"farm-worker-{worker_id}",

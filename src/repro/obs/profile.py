@@ -340,14 +340,6 @@ class Profile:
             lines.append(f"... ({len(ranked) - top} more edges)")
         return "\n".join(lines) + "\n"
 
-    def flame_svg(self, width: int = 1100, row_height: int = 18) -> str:
-        """The flamegraph as one self-contained inline SVG string."""
-        label = self.workload or self.source_file or "profile"
-        title = f"{self.machine} {label}" if self.machine else label
-        return render_flame_svg(
-            self.stack_cycles, title=title, width=width, row_height=row_height
-        )
-
     def to_dict(self) -> dict:
         """JSON-friendly form (stack/edge keys joined with ``;``)."""
         return {

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro.asm.assembler import AssemblerError, assemble
-from repro.baselines.vax.assembler import VaxAssemblerError, assemble_vax
+from repro.baselines.vax.assembler import assemble_vax
 
 GARBAGE_LINES = [
     "add",
@@ -28,6 +28,12 @@ GARBAGE_LINES = [
     "call 1, 2, 3",
     "putpsw #1",
     "cmp r1",
+    ".data\n .align 0\n .text",
+    ".data\n .align -4\n .text",
+    ".data\n .space\n .text",
+    ".data\n .space -4\n .text",
+    ".equ x",
+    ".equ main, 5",
 ]
 
 
@@ -74,11 +80,18 @@ class TestVaxAssemblerErrors:
         "brw",
         "unknownop r1, r2",
         "movl 8(, r1",
+        ".align 0",
+        ".align -4",
+        ".space",
+        ".space -4",
+        ".equ x",
+        ".equ __start, 5",
+        ".data\n .align 0\n .text",
     ]
 
     @pytest.mark.parametrize("line", VAX_GARBAGE)
     def test_garbage_raises(self, line):
-        with pytest.raises(VaxAssemblerError):
+        with pytest.raises(AssemblerError):
             assemble_vax(f"__start:\n {line}\n halt\n")
 
     @given(
@@ -92,13 +105,13 @@ class TestVaxAssemblerErrors:
         source = f"__start:\n{text}\n halt\n"
         try:
             assemble_vax(source)
-        except VaxAssemblerError:
+        except AssemblerError:
             pass
 
     def test_undefined_symbol(self):
-        with pytest.raises(VaxAssemblerError, match="undefined"):
+        with pytest.raises(AssemblerError, match="undefined"):
             assemble_vax("__start:\n movl @#missing, r1\n halt\n")
 
     def test_duplicate_label(self):
-        with pytest.raises(VaxAssemblerError, match="duplicate"):
+        with pytest.raises(AssemblerError, match="duplicate"):
             assemble_vax("__start:\n__start:\n halt\n")

@@ -147,3 +147,48 @@ class TestPoolLifecycle:
         pool.close()
         with pytest.raises(PoolBroken):
             pool.submit([execute_job("towers", "risc1")], lambda o: None)
+
+
+class TestOrphanedWorkers:
+    def test_workers_exit_when_pool_process_is_killed(self, tmp_path):
+        import os
+        import signal
+        import subprocess
+        import sys
+        import time
+        from pathlib import Path
+
+        script = (
+            "import sys, time\n"
+            "from repro.farm.pool import WorkerPool\n"
+            f"pool = WorkerPool(2, cache_root={str(tmp_path)!r}).start()\n"
+            "print(*(p.pid for p in pool._procs.values()), flush=True)\n"
+            "time.sleep(120)\n"
+        )
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+        owner = subprocess.Popen(
+            [sys.executable, "-c", script], stdout=subprocess.PIPE, text=True, env=env
+        )
+        try:
+            pids = [int(pid) for pid in owner.stdout.readline().split()]
+            assert len(pids) == 2
+        finally:
+            owner.send_signal(signal.SIGKILL)
+            owner.wait(timeout=10)
+            owner.stdout.close()
+
+        def gone(pid):
+            try:
+                stat = Path(f"/proc/{pid}/stat").read_text()
+            except OSError:
+                return True
+            return stat.rsplit(")", 1)[1].split()[0] == "Z"  # a zombie is gone
+
+        deadline = time.monotonic() + 5.0
+        while not all(gone(pid) for pid in pids) and time.monotonic() < deadline:
+            time.sleep(0.1)
+        alive = [pid for pid in pids if not gone(pid)]
+        for pid in alive:  # never leave strays behind, even on failure
+            os.kill(pid, signal.SIGKILL)
+        assert not alive, f"workers {alive} outlived their pool's process"

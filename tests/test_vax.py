@@ -3,7 +3,7 @@ and the CALLS/RET procedure linkage."""
 
 import pytest
 
-from repro.baselines.vax.assembler import VaxAssemblerError, assemble_vax, parse_operand
+from repro.baselines.vax.assembler import AssemblerError, assemble_vax, parse_operand
 from repro.baselines.vax.cpu import VaxCPU
 from repro.baselines.vax.isa import INSTRUCTIONS
 from repro.baselines.vax.timing import VaxTiming
@@ -49,7 +49,7 @@ class TestOperandParsing:
         assert parse_operand("#main", 1).kind == "immediate"
 
     def test_bad_operand(self):
-        with pytest.raises(VaxAssemblerError):
+        with pytest.raises(AssemblerError):
             parse_operand("12(34)", 1)
 
 
