@@ -19,8 +19,8 @@ print(f"{'program':<18} {'calls':>7} {'depth':>6}  " +
       "  ".join(f"{w:>3}w" for w in WINDOW_COUNTS))
 print("-" * 78)
 for name in WORKLOADS:
-    cpu, _ = common.traced_run(name, "default")
-    stats = sweep(cpu.call_trace, WINDOW_COUNTS)
+    trace, _ = common.traced_run(name, "default")
+    stats = sweep(trace, WINDOW_COUNTS)
     rates = "  ".join(f"{100 * s.overflow_rate:4.0f}" for s in stats)
     print(f"{name:<18} {stats[0].calls:>7} {stats[0].max_depth:>6}  {rates}")
 
@@ -33,8 +33,8 @@ design point — while unbounded recursion keeps thrashing any finite file
 
 # spill traffic view for one program
 name = "towers"
-cpu, _ = common.traced_run(name, "default")
+trace, _ = common.traced_run(name, "default")
 print(f"spill traffic for {name!r} (registers written to memory):")
-for stats in sweep(cpu.call_trace, WINDOW_COUNTS):
+for stats in sweep(trace, WINDOW_COUNTS):
     bar = "#" * int(60 * stats.registers_spilled / (16 * stats.calls or 1))
     print(f"  {stats.num_windows:>2} windows: {stats.registers_spilled:>6} regs {bar}")

@@ -13,9 +13,29 @@ from __future__ import annotations
 import dataclasses
 from typing import Iterable, Sequence
 
-#: A call trace: ("call" | "ret", depth-after-event), as produced by
-#: ``CPU(trace_calls=True)``.
+from repro.obs.events import EventKind
+from repro.obs.tracer import Tracer
+
+#: A call trace: ("call" | "ret", depth-after-event), as collected by
+#: :class:`CallTracer`.
 Trace = Sequence[tuple[str, int]]
+
+
+class CallTracer(Tracer):
+    """A tracer that wants only CALL/RET and keeps them as a :data:`Trace`.
+
+    Pass it as a machine's ``tracer``; ``trace`` fills as the run goes.
+    """
+
+    def __init__(self):
+        super().__init__(capacity=1, kinds=(EventKind.CALL, EventKind.RET))
+        self.trace: list[tuple[str, int]] = []
+
+    def call(self, cycles: int, pc: int, depth: int, target: int = 0) -> None:
+        self.trace.append(("call", depth))
+
+    def ret(self, cycles: int, pc: int, depth: int) -> None:
+        self.trace.append(("ret", depth))
 
 
 @dataclasses.dataclass(frozen=True)

@@ -116,13 +116,13 @@ class Assembler(TwoPassAssembler):
     def encode(self, stmt: Statement, address: int) -> bytes:
         m = stmt.mnemonic
         scc = m.endswith("!")
-        words = self._dispatch(m.rstrip("!"), scc, stmt.operands, address, stmt.line)
-        # a set/mov sized wide before its equate was known pads with NOPs
-        words += [NOP_WORD] * (stmt.size // 4 - len(words))
+        words = self._dispatch(
+            m.rstrip("!"), scc, stmt.operands, address, stmt.line, stmt.size
+        )
         return b"".join([word.to_bytes(4, "big") for word in words])
 
     def _dispatch(
-        self, m: str, scc: bool, ops: list[str], address: int, line: int
+        self, m: str, scc: bool, ops: list[str], address: int, line: int, size: int
     ) -> list[int]:
         if m in _ALU_OPS:
             return [self._alu(_ALU_OPS[m], scc, ops, line)]
@@ -159,7 +159,9 @@ class Assembler(TwoPassAssembler):
             word = self._alu(Opcode.SUB, True, ["r0", ops[0], ops[1]], line)
             return [word]
         if m in ("set", "mov"):
-            return self._set(ops, line)
+            # pass 1's sizing decides the form: a constant equated only
+            # later still gets the LDHI+ADD pair it was sized for
+            return self._set(ops, line, wide=size == 8)
         if m == "halt":
             reg = self._reg(ops[0], line) if ops else 0
             return self._mmio_store(reg, MMIO_HALT)
@@ -229,21 +231,16 @@ class Assembler(TwoPassAssembler):
             imm, s2 = self._s2(ops[1], line) if len(ops) > 1 else (True, 8)
         return encode(Instruction.short(opcode, dest=0, rs1=rs1, s2=s2, imm=imm))
 
-    def _set(self, ops: list[str], line: int) -> list[int]:
+    def _set(self, ops: list[str], line: int, wide: bool) -> list[int]:
         dest = self._reg(ops[0], line)
         src = ops[1]
         if _REG_RE.match(src):
             rs = self._reg(src, line)
             return [encode(Instruction.short(Opcode.ADD, dest=dest, rs1=rs, s2=0, imm=True))]
         value = self.evaluate(src.lstrip("#"), line)
-        return self._const_words(dest, value, force_wide=self._sized_wide(src))
+        return self._const_words(dest, value, force_wide=wide)
 
-    def _sized_wide(self, src: str) -> bool:
-        """Did pass 1 reserve two words for this operand?"""
-        value = self._try_const(src)
-        return value is None or not S2_MIN <= value <= S2_MAX
-
-    def _const_words(self, dest: int, value: int, force_wide: bool = False) -> list[int]:
+    def _const_words(self, dest: int, value: int, force_wide: bool) -> list[int]:
         """Synthesize a 32-bit constant: 1 word if it fits, else LDHI+ADD."""
         value &= 0xFFFFFFFF
         signed = value - (1 << 32) if value & 0x80000000 else value

@@ -171,10 +171,8 @@ class VaxAssembler(TwoPassAssembler):
         self, operand: _Operand, spec: OperandSpec, cursor: int, line: int
     ) -> bytes:
         if spec.access == "b":
-            if operand.kind == "symbol":
-                target = self.resolve(operand.symbol, line)
-            elif operand.kind in ("immediate", "literal"):
-                target = operand.value
+            if operand.kind in ("symbol", "immediate", "literal"):
+                target = self._value(operand, line)
             else:
                 raise AssemblerError("branch needs a label or address", line)
             disp = target - (cursor + 2)

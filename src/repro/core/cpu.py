@@ -67,7 +67,6 @@ class CPU(MachineShell):
         memory_size: int = 1 << 20,
         num_windows: int = 8,
         timing: RiscTiming | None = None,
-        trace_calls: bool = False,
         spill_batch: int = 1,
         tracer=None,
         metrics=None,
@@ -92,8 +91,6 @@ class CPU(MachineShell):
         #: at the next restartable instruction boundary.
         self._interrupt_request: int | None = None
         self.interrupts_taken = 0
-        #: Optional (event, depth) trace: event is "call" or "ret".
-        self.call_trace: list[tuple[str, int]] | None = [] if trace_calls else None
         #: Optional per-instruction hook ``fn(pc, instruction)``.
         self.on_execute: Callable[[int, Instruction], None] | None = None
 
@@ -110,7 +107,8 @@ class CPU(MachineShell):
     def _run_steps(self, limit: int, engine: str) -> None:
         """``"fast"`` is the predecoded engine of :mod:`repro.core.engine`;
         ``"reference"`` the plain ``step()`` loop.  A run measured under
-        ``uarch`` keeps the fast engine on its exact (per-step) loop."""
+        ``uarch`` installs an ``on_execute`` hook, so the fast engine
+        keeps ``instructions``/``cycles`` per step for it."""
         if engine == "fast" and self._program is not None:
             from repro.core.engine import PredecodedEngine
 
@@ -340,8 +338,6 @@ class CPU(MachineShell):
         self.regs.write(dest, pc)
         self.stats.calls += 1
         self.stats.max_call_depth = max(self.stats.max_call_depth, self.regs.depth)
-        if self.call_trace is not None:
-            self.call_trace.append(("call", self.regs.depth))
         self.psw.cwp = self.regs.cwp
 
     def _ret(self, inst: Instruction, pc: int) -> int:
@@ -356,8 +352,6 @@ class CPU(MachineShell):
         if fill is not None:
             self._fill_window(fill)
         self.stats.returns += 1
-        if self.call_trace is not None:
-            self.call_trace.append(("ret", self.regs.depth))
         self.psw.cwp = self.regs.cwp
 
     def _spill_windows(self, windows: list[int]) -> None:

@@ -23,16 +23,19 @@ Exactness is the contract, not a goal: the engine must produce the same
 exit code, output, every :class:`~repro.core.stats.ExecutionStats` field,
 the same memory-traffic counters and an identical tracer event stream as
 the reference loop (``tests/test_engine_diff.py`` enforces this
-differentially on every bundled workload).  Two inner loops keep that
-cheap:
+differentially on every bundled workload).  One inner loop keeps that
+cheap by folding counters late, under one rule:
 
-* the **batched** loop runs when no tracer kind is wanted and no
-  ``on_execute`` hook is installed.  Per-word execution counts accumulate
-  in an array and are folded into ``instructions``/``cycles``/
-  ``by_opcode``/``inst_fetches`` when the run leaves the fast path —
-  nothing mid-run can observe the difference;
-* the **exact** loop (any tracing or hook active) updates stats per step
-  so every event timestamp matches the reference loop bit for bit.
+* per-word execution counts and a local fetch counter are always kept;
+  ``by_opcode`` is folded from the counts when a word is recompiled or
+  the loop exits, ``inst_fetches`` when the loop exits;
+* a run is *observed* when any tracer kind is wanted or an
+  ``on_execute`` hook is installed.  Observers read ``instructions`` and
+  ``cycles`` mid-run (event timestamps, hooks), so an observed run
+  advances those two per step, after the handler and before the RETIRE
+  event, exactly where the reference loop does; an unobserved run folds
+  them from the counts with ``by_opcode`` — nothing mid-run can see the
+  difference.
 
 Rare instructions that need interpreter state the engine does not model
 (``GTLPC``/``CALLINT`` read the previous PC), undecodable words, and
@@ -95,20 +98,23 @@ class PredecodedEngine:
         self.ops: list = [None] * size
         self.names = [""] * size
         self.insts: list = [None] * size
-        #: batched-loop execution counts, folded into stats on flush
+        #: per-word execution counts, folded into stats on flush
         self.counts = [0] * size
+        #: set by :meth:`run`: observed runs keep instructions/cycles per step
+        self.observed = False
         self.maps = _window_maps(cpu.regs.num_windows)
 
     # -- bookkeeping -------------------------------------------------------
 
     def _flush(self, idx: int) -> None:
-        """Fold one word's batched executions into the CPU stats."""
+        """Fold one word's counted executions into the CPU stats."""
         count = self.counts[idx]
         if count:
             self.counts[idx] = 0
             stats = self.cpu.stats
-            stats.instructions += count
-            stats.cycles += count * self.costs[idx]
+            if not self.observed:
+                stats.instructions += count
+                stats.cycles += count * self.costs[idx]
             stats.by_opcode[self.ops[idx]] += count
 
     def _flush_all(self) -> None:
@@ -128,7 +134,7 @@ class PredecodedEngine:
 
     def _compile_word(self, idx: int):
         """Translate the word at slot ``idx``; returns its handler."""
-        self._flush(idx)  # credit any batched executions of the old word
+        self._flush(idx)  # credit any counted executions of the old word
         cpu = self.cpu
         address = self.base + (idx << 2)
         word = int.from_bytes(cpu.memory._bytes[address : address + 4], "big")
@@ -499,7 +505,7 @@ class PredecodedEngine:
 
         return run
 
-    # -- the run loops -----------------------------------------------------
+    # -- the run loop ------------------------------------------------------
 
     def run(self, limit: int) -> None:
         """Execute up to ``limit`` steps; raises on halt or trap.
@@ -508,30 +514,25 @@ class PredecodedEngine:
         ``run()`` wrapper turns that into :class:`StepLimitExceeded`.
         """
         cpu = self.cpu
-        traced = (
-            cpu._trace_retire
+        psw = cpu.psw
+        stats = cpu.stats
+        memory = cpu.memory
+        tracer = cpu.tracer
+        trace_retire = cpu._trace_retire
+        trace_trap = cpu._trace_trap
+        observed = self.observed = (
+            trace_retire
             or cpu._trace_mem
             or cpu._trace_flow
             or cpu._trace_window
-            or cpu._trace_trap
+            or trace_trap
+            or cpu.on_execute is not None
         )
-        memory = cpu.memory
-        previous_watch = memory.write_watch
-        memory.write_watch = self._note_write
-        try:
-            if traced or cpu.on_execute is not None:
-                self._run_exact(limit)
-            else:
-                self._run_batched(limit)
-        finally:
-            memory.write_watch = previous_watch
-
-    def _run_batched(self, limit: int) -> None:
-        """The no-observer loop: stats are batched per predecoded word."""
-        cpu = self.cpu
-        psw = cpu.psw
         handlers = self.handlers
         counts = self.counts
+        costs = self.costs
+        names = self.names
+        insts = self.insts
         base = self.base
         span = self.span
         compile_word = self._compile_word
@@ -539,6 +540,8 @@ class PredecodedEngine:
         npc = cpu.npc
         last_pc = cpu._last_pc
         fetches = 0
+        previous_watch = memory.write_watch
+        memory.write_watch = self._note_write
         try:
             for _ in range(limit):
                 if cpu._interrupt_request is not None:
@@ -573,105 +576,23 @@ class PredecodedEngine:
                 if pending is not None:
                     cpu._pending = None
                 fetches += 1
+                if observed:
+                    hook = cpu.on_execute
+                    if hook is not None:
+                        cpu.pc = pc
+                        cpu.npc = npc
+                        cpu._last_pc = last_pc
+                        hook(pc, insts[idx])
                 try:
                     target = handler()
                 except MachineHalted:
                     counts[idx] += 1  # the halting store is still recorded
-                    raise
-                if pending is not None:
-                    if cpu._pending is not None:
-                        raise Trap(
-                            TrapKind.ILLEGAL_INSTRUCTION,
-                            "control transfer in a CALL/RETURN delay slot",
-                            pc=pc,
-                        )
-                    cpu.pc = pc
-                    cpu.npc = npc
-                    cpu._apply_window_change(pending)
-                counts[idx] += 1
-                last_pc = pc
-                if target is None:
-                    pc = npc
-                    npc = pc + 4
-                else:
-                    pc, npc = npc, target
-        finally:
-            cpu.pc = pc
-            cpu.npc = npc
-            cpu._last_pc = last_pc
-            cpu.memory.stats.inst_fetches += fetches
-            self._flush_all()
-
-    def _run_exact(self, limit: int) -> None:
-        """The observed loop: per-step stats so event timestamps match."""
-        cpu = self.cpu
-        psw = cpu.psw
-        stats = cpu.stats
-        by_opcode = stats.by_opcode
-        mem_stats = cpu.memory.stats
-        tracer = cpu.tracer
-        trace_retire = cpu._trace_retire
-        trace_trap = cpu._trace_trap
-        handlers = self.handlers
-        costs = self.costs
-        ops = self.ops
-        names = self.names
-        insts = self.insts
-        base = self.base
-        span = self.span
-        compile_word = self._compile_word
-        pc = cpu.pc
-        npc = cpu.npc
-        last_pc = cpu._last_pc
-        try:
-            for _ in range(limit):
-                if cpu._interrupt_request is not None:
-                    if (
-                        psw.interrupts_enabled
-                        and cpu._pending is None
-                        and npc == pc + 4
-                    ):
-                        cpu.pc = pc
-                        cpu.npc = npc
-                        cpu._deliver_interrupt()
-                        pc = cpu.pc
-                        npc = cpu.npc
-                offset = pc - base
-                if 0 <= offset < span and not offset & 3:
-                    idx = offset >> 2
-                    handler = handlers[idx]
-                    if handler is None:
-                        handler = compile_word(idx)
-                else:
-                    handler = False
-                if handler is False:
-                    cpu.pc = pc
-                    cpu.npc = npc
-                    cpu._last_pc = last_pc
-                    cpu.step()
-                    pc = cpu.pc
-                    npc = cpu.npc
-                    last_pc = cpu._last_pc
-                    continue
-                pending = cpu._pending
-                if pending is not None:
-                    cpu._pending = None
-                mem_stats.inst_fetches += 1
-                hook = cpu.on_execute
-                if hook is not None:
-                    cpu.pc = pc
-                    cpu.npc = npc
-                    cpu._last_pc = last_pc
-                    hook(pc, insts[idx])
-                cost = costs[idx]
-                try:
-                    target = handler()
-                except MachineHalted:
-                    stats.instructions += 1
-                    stats.cycles += cost
-                    by_opcode[ops[idx]] += 1
-                    if trace_retire:
-                        tracer.retire(stats.cycles, pc, names[idx], cost)
+                    if observed:
+                        cost = costs[idx]
+                        stats.instructions += 1
+                        stats.cycles += cost
+                        if trace_retire:
+                            tracer.retire(stats.cycles, pc, names[idx], cost)
                     raise
                 except Trap as trap:
                     if trace_trap:
@@ -687,19 +608,23 @@ class PredecodedEngine:
                     cpu.pc = pc
                     cpu.npc = npc
                     cpu._apply_window_change(pending)
-                old_pc = pc
+                counts[idx] += 1
+                if observed:
+                    cost = costs[idx]
+                    stats.instructions += 1
+                    stats.cycles += cost
+                    if trace_retire:
+                        tracer.retire(stats.cycles, pc, names[idx], cost)
                 last_pc = pc
                 if target is None:
                     pc = npc
                     npc = pc + 4
                 else:
                     pc, npc = npc, target
-                stats.instructions += 1
-                stats.cycles += cost
-                by_opcode[ops[idx]] += 1
-                if trace_retire:
-                    tracer.retire(stats.cycles, old_pc, names[idx], cost)
         finally:
             cpu.pc = pc
             cpu.npc = npc
             cpu._last_pc = last_pc
+            memory.stats.inst_fetches += fetches
+            self._flush_all()
+            memory.write_watch = previous_watch

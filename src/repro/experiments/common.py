@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import functools
 
+from repro.analysis.windows import CallTracer
 from repro.cc.driver import CompiledProgram
 from repro.cc.irvm import IRResult
 from repro.core.cpu import CPU
@@ -116,17 +117,19 @@ def profiled(spec: str, target: str = "risc1"):
 
 @functools.lru_cache(maxsize=None)
 def traced_run(name: str, scale: str = "default", num_windows: int = 8):
-    """Run a workload on RISC I with call tracing enabled.
+    """Run a workload on RISC I and collect its call trace.
 
-    Not farm-cached: callers need the live :class:`CPU` (its call trace),
-    which is not a storable artifact.
+    Returns ``(trace, run_result)``, the trace as
+    :class:`~repro.analysis.windows.CallTracer` collects it.  Not
+    farm-cached: the trace is built off the live run.
     """
     program = compiled(name, "risc1", scale)
-    cpu = CPU(num_windows=num_windows, trace_calls=True)
+    tracer = CallTracer()
+    cpu = CPU(num_windows=num_windows, tracer=tracer)
     cpu.load(program.program)
     with ledger_context(workload=name, scale=scale, source="experiments"):
         result = cpu.run(max_steps=500_000_000)
-    return cpu, result
+    return tracer.trace, result
 
 
 def risc_ms(cycles: int) -> float:

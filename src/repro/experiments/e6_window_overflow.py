@@ -26,8 +26,8 @@ def run(scale: str = "default") -> Table:
         + [f"{w} win" for w in WINDOW_COUNTS],
     )
     for name in TRACED_WORKLOADS:
-        cpu, _ = common.traced_run(name, scale)
-        stats = sweep(cpu.call_trace, WINDOW_COUNTS)
+        trace, _ = common.traced_run(name, scale)
+        stats = sweep(trace, WINDOW_COUNTS)
         table.add_row(
             name,
             stats[0].calls,

@@ -20,14 +20,7 @@ from repro.cc.driver import CompiledProgram, compile_program, run_compiled
 from repro.cc.irvm import IRResult, run_ir
 from repro.core.api import RunResult
 from repro.farm.cache import ArtifactCache, default_cache_root
-from repro.farm.jobs import (
-    MAX_INSTRUCTIONS,
-    Job,
-    compile_job,
-    execute_job,
-    ir_job,
-    workload_source,
-)
+from repro.farm.jobs import MAX_INSTRUCTIONS, Job, workload_source
 from repro.workloads import ALL_WORKLOADS
 
 
@@ -73,20 +66,39 @@ def _verify(job: Job, output: str) -> None:
         )
 
 
+def _load_cached(job: Job, cache: ArtifactCache | None):
+    """The job's cached artifact, or None on a miss.
+
+    A stored artifact that does not decode is deleted and counted as a
+    miss, so the job recomputes it.
+    """
+    if cache is None:
+        return None
+    if job.kind == "compile":
+        ext, decode = "pkl", CompiledProgram.from_blob
+        raw = cache.load_blob(job.key, ext)
+    else:
+        ext, decode = "json", _decode_result
+        raw = cache.load_json(job.key)
+    if raw is None:
+        return None
+    try:
+        return decode(raw)
+    except Exception:
+        cache.stats.hits -= 1
+        cache.discard_corrupt(cache.path_for(job.key, ext))
+        return None
+
+
 def run_job(job: Job, cache: ArtifactCache | None = None):
     """Run one job, cache-first.  Returns ``(value, hit)``."""
     if cache is None and cache_enabled():
         cache = shared_cache()
+    value = _load_cached(job, cache)
+    if value is not None:
+        return value, True
 
     if job.kind == "compile":
-        if cache is not None:
-            blob = cache.load_blob(job.key, "pkl")
-            if blob is not None:
-                try:
-                    return CompiledProgram.from_blob(blob), True
-                except Exception:
-                    cache.stats.hits -= 1
-                    cache.discard_corrupt(cache.path_for(job.key, "pkl"))
         value = compile_program(
             job.source
             if job.source is not None
@@ -99,14 +111,6 @@ def run_job(job: Job, cache: ArtifactCache | None = None):
         return value, False
 
     if job.kind == "fuzz":
-        if cache is not None:
-            payload = cache.load_json(job.key)
-            if payload is not None:
-                try:
-                    return _decode_result(payload), True
-                except Exception:
-                    cache.stats.hits -= 1
-                    cache.discard_corrupt(cache.path_for(job.key, "json"))
         from repro.fuzz.crosscheck import crosscheck_seed
 
         config = dict(job.config)
@@ -120,17 +124,6 @@ def run_job(job: Job, cache: ArtifactCache | None = None):
         if cache is not None:
             cache.store_json(job.key, {"type": "fuzz", "result": value.to_dict()})
         return value, False
-
-    # execute / ir jobs store their results as typed JSON payloads
-    tag = "ir" if job.kind == "ir" else job.target
-    if cache is not None:
-        payload = cache.load_json(job.key)
-        if payload is not None:
-            try:
-                return _decode_result(payload), True
-            except Exception:
-                cache.stats.hits -= 1
-                cache.discard_corrupt(cache.path_for(job.key, "json"))
 
     from repro.farm.jobs import dependency
 
@@ -154,6 +147,8 @@ def run_job(job: Job, cache: ArtifactCache | None = None):
         # inline-source jobs have no expected-output oracle to check
         _verify(job, value.output)
     if cache is not None:
+        # execute / ir jobs store their results as typed JSON payloads
+        tag = "ir" if job.kind == "ir" else job.target
         cache.store_json(job.key, {"type": tag, "result": value.to_dict()})
     return value, False
 
@@ -183,18 +178,3 @@ def job_metrics(job: Job, value) -> dict:
             "source_sha": value.source_sha,
         }
     return {}
-
-
-# -- convenience entry points used by repro.experiments.common ----------------------
-
-
-def compiled(name: str, target: str, scale: str = "default") -> CompiledProgram:
-    return run_job(compile_job(name, target, scale))[0]
-
-
-def executed(name: str, target: str, scale: str = "default"):
-    return run_job(execute_job(name, target, scale))[0]
-
-
-def ir_profile(name: str, scale: str = "default") -> IRResult:
-    return run_job(ir_job(name, scale))[0]

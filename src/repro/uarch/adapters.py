@@ -8,8 +8,9 @@ costs one architectural run, not N.
 
 **RISC I** (:class:`RiscPipelineAdapter`) hangs off ``CPU.on_execute``,
 which fires identically in the reference ``step()`` loop and the fast
-engine's exact loop — pipeline stats are therefore engine-independent by
-the same mechanism that makes the engines bit-identical.  Register
+engine's loop (a hooked run keeps ``instructions``/``cycles`` per step) —
+pipeline stats are therefore engine-independent by the same mechanism
+that makes the engines bit-identical.  Register
 operands are resolved to *physical* indices through the same window maps
 the fast engine uses, so the CALL/RETURN overlap (caller LOW = callee
 HIGH) aliases correctly and cross-call hazards through shared registers

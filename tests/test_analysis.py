@@ -6,7 +6,7 @@ from hypothesis import given, strategies as st
 
 from repro.analysis.callcost import conventional_cost, measure
 from repro.analysis.report import Table, geometric_mean
-from repro.analysis.windows import replay, sweep
+from repro.analysis.windows import CallTracer, replay, sweep
 from repro.baselines.conventional import ConventionalCallModel
 from repro.baselines.estimators import M68000, Z8002
 from repro.cc.driver import compile_program
@@ -89,10 +89,11 @@ class TestWindowReplay:
             ret
             nop
         """
-        cpu = CPU(num_windows=4, trace_calls=True)
+        tracer = CallTracer()
+        cpu = CPU(num_windows=4, tracer=tracer)
         cpu.load(assemble(source))
         result = cpu.run()
-        stats = replay(cpu.call_trace, num_windows=4)
+        stats = replay(tracer.trace, num_windows=4)
         assert stats.overflows == result.stats.window_overflows
         assert stats.underflows == result.stats.window_underflows
 

@@ -6,6 +6,9 @@ import pytest
 from repro.asm.assembler import assemble
 from repro.asm.core import AssemblerError
 from repro.baselines.vax.assembler import assemble_vax
+from repro.core.cpu import CPU
+from repro.isa.encoding import decode
+from repro.isa.opcodes import Opcode
 
 #: each is line 3 of the source once wrapped by risc()/vax() below
 BAD_DIRECTIVES = [
@@ -76,3 +79,23 @@ def test_vax_reads_risc_comment_and_character_syntax():
     prog = assemble_vax("main: // entry\n movl #'A', r1\n halt\n")
     code = next(s for s in prog.segments if s.name == "code")
     assert code.data[2:6] == ord("A").to_bytes(4, "big")  # an immediate
+
+
+def test_vax_branch_to_an_immediate_symbol_resolves_it():
+    prog = assemble_vax("__start:\n brw #foo\nfoo: halt\n")
+    code = next(s for s in prog.segments if s.name == "code")
+    # brw's 16-bit displacement is taken from the end of the instruction
+    disp = int.from_bytes(code.data[1:3], "big", signed=True)
+    assert prog.symbols["__start"] + 3 + disp == prog.symbols["foo"]
+
+
+def test_risc_set_of_a_later_equate_keeps_its_reserved_form():
+    prog = assemble("main: set r1, K\n halt\n .equ K, 5\n")
+    code = next(s for s in prog.segments if s.name == "code")
+    words = [decode(int.from_bytes(code.data[i : i + 4], "big")) for i in (0, 4)]
+    assert [w.opcode for w in words] == [Opcode.LDHI, Opcode.ADD]
+    assert words[1].dest == 1 and words[1].rs1 == 1  # no padding nop
+    cpu = CPU()
+    cpu.load(prog)
+    cpu.run()
+    assert cpu.regs.read(1) == 5

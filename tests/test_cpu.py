@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.analysis.windows import CallTracer
 from repro.asm.assembler import assemble
 from repro.core.cpu import CPU, to_signed
 from repro.machine.traps import Trap, TrapKind
@@ -339,8 +340,9 @@ class TestTimingAndStats:
         f:  ret
             nop
         """
-        cpu, _ = run(source, trace_calls=True)
-        assert cpu.call_trace == [("call", 2), ("ret", 1)]
+        tracer = CallTracer()
+        run(source, tracer=tracer)
+        assert tracer.trace == [("call", 2), ("ret", 1)]
 
 
 class TestIOAndHalt:

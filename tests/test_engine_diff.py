@@ -197,7 +197,7 @@ class TestInterruptParity:
         assert reference["console"].endswith("3")
 
     def test_prelatched_interrupt_batched_path(self):
-        """An interrupt pending at entry, no hook: the batched loop delivers."""
+        """An interrupt pending at entry, no hook: an unobserved run delivers."""
         program = assemble(INTERRUPT_PROGRAM)
         reference = assert_risc_identical(
             program, interrupt_at=program.symbol("handler")
@@ -353,10 +353,11 @@ class TestPswParity:
 
 
 class TestStepLimitParity:
-    def test_partial_stats_attached_and_identical(self):
+    @pytest.mark.parametrize("traced", [False, True])
+    def test_partial_stats_attached_and_identical(self, traced):
         program = workload_program("towers", "risc1")
-        reference = run_risc(program, "reference", max_steps=1_000)
-        fast = run_risc(program, "fast", max_steps=1_000)
+        reference = run_risc(program, "reference", max_steps=1_000, traced=traced)
+        fast = run_risc(program, "fast", max_steps=1_000, traced=traced)
         assert fast == reference
         kind, limit, pc, stats = reference["outcome"]
         assert kind == "limit"
@@ -370,6 +371,33 @@ class TestStepLimitParity:
         assert fast == reference
         assert reference["outcome"][0] == "limit"
         assert reference["outcome"][3]["instructions"] == 500
+
+
+class TestHookSeesLiveStats:
+    """A hook reads ``instructions``/``cycles`` mid-run; the fast engine
+    must advance both per step exactly where the reference loop does."""
+
+    @pytest.mark.parametrize("name", ["towers", "quicksort_i"])
+    def test_hook_recordings_identical(self, name):
+        program = workload_program(name, "risc1")
+        runs, recordings = {}, {}
+        for engine in ("reference", "fast"):
+            seen = recordings[engine] = []
+
+            def hook_factory(cpu, prog, seen=seen):
+                def hook(pc, inst):
+                    seen.append((pc, cpu.stats.instructions, cpu.stats.cycles))
+
+                return hook
+
+            # four windows: spills and fills add cycles between steps
+            runs[engine] = run_risc(program, engine, windows=4, hook_factory=hook_factory)
+        assert runs["fast"] == runs["reference"]
+        assert recordings["fast"] == recordings["reference"]
+        # the last call precedes the halting store's own retire
+        instructions = runs["fast"]["stats"]["instructions"]
+        assert recordings["fast"][-1][1] == instructions - 1
+        assert len(recordings["fast"]) == instructions
 
 
 class TestPipelineParity:

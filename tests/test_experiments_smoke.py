@@ -56,9 +56,9 @@ class TestCommonPlumbing:
         assert profile.counts.calls > 1000
 
     def test_traced_run_produces_trace(self):
-        cpu, _ = common.traced_run("towers", "default")
-        assert cpu.call_trace
-        kinds = {event for event, _ in cpu.call_trace}
+        trace, _ = common.traced_run("towers", "default")
+        assert trace
+        kinds = {event for event, _ in trace}
         assert kinds == {"call", "ret"}
 
     def test_bench_scale_changes_source(self):
@@ -74,8 +74,8 @@ class TestCommonPlumbing:
 class TestMiniMeasuredExperiment:
     def test_window_sweep_on_real_trace(self):
         """A single-program, reduced version of E6."""
-        cpu, _ = common.traced_run("towers", "default")
-        stats = sweep(cpu.call_trace, (2, 8))
+        trace, _ = common.traced_run("towers", "default")
+        stats = sweep(trace, (2, 8))
         assert stats[0].overflow_rate == 1.0
         assert stats[1].overflow_rate < 0.05
 
