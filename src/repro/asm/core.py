@@ -8,6 +8,8 @@ A target subclasses :class:`TwoPassAssembler` and supplies only what the
 paper says differs between the machines — how big one instruction is and
 how it is encoded:
 
+* :meth:`TwoPassAssembler.parse_operands` — the operands of one statement
+  as the target's operand records (kept in :attr:`Statement.parsed`);
 * :meth:`TwoPassAssembler.size` — bytes one statement occupies (pass 1);
 * :meth:`TwoPassAssembler.encode` — its bytes, once every symbol is known
   (pass 2);
@@ -17,12 +19,19 @@ how it is encoded:
 Directives handled here: ``.text .data .equ .global .align .space .ascii
 .asciiz`` plus the target's data-width table (``.byte`` and friends).
 
+A program reaches the layout pass as a list of :class:`Statement` records,
+one per line of assembly.  Hand-written text gets there through
+:meth:`TwoPassAssembler.parse`; the compiler's code generators build the
+records themselves, with their operands already parsed, and hand them to
+:meth:`TwoPassAssembler.assemble_statements` without any text in between.
+Assembly text is a rendering of the list (:func:`render`).
+
 The profiler markers are defined here too.  The code generators suffix an
 instruction with ``;@42`` (high-level source line 42) and a function's
-entry label with ``;@fn name``; the assemblers read them from the comment
-region of a line (so a ``;@`` inside a string literal never matches) into
-the program's line table, and :mod:`repro.cc.delay` tolerates them where
-it would reject any other comment.
+entry label with ``;@fn name``; :meth:`TwoPassAssembler.parse` reads them
+from the comment region of a line (so a ``;@`` inside a string literal
+never matches) into each statement's ``func``/``src_line``, which the
+layout pass turns into the program's line table.
 """
 
 from __future__ import annotations
@@ -37,8 +46,6 @@ DATA_ALIGN = 256
 
 LINE_MARKER_RE = re.compile(r";@(\d+)")
 FN_MARKER_RE = re.compile(r";@fn\s+(\S+)")
-#: Regex fragment matching an optional trailing marker comment.
-MARKER_TAIL = r"(?:;@.*)?"
 
 
 def line_marker(line: int) -> str:
@@ -73,13 +80,17 @@ class AssemblerError(Exception):
 
 @dataclasses.dataclass(slots=True)
 class Statement:
-    """One instruction or directive after pass 1: where it goes and how big."""
+    """One line of assembly: an optional label, then an instruction or
+    directive (``mnemonic`` is empty on a line without one).  Pass 1 fills
+    in where it goes and how big it is."""
 
     mnemonic: str
     operands: list[str]
-    line: int
-    source: str
-    section: str
+    #: line number in the assembly text
+    line: int = 0
+    #: the instruction or directive as written, without label or comment
+    source: str = ""
+    section: str = "text"
     offset: int = 0
     size: int = 0
     #: enclosing function and high-level source line (profiler line table)
@@ -87,13 +98,30 @@ class Statement:
     src_line: int = 0
     #: a data directive of the core (else sized and encoded by the target)
     data: bool = False
-    #: whatever the target's :meth:`TwoPassAssembler.size` parsed, for reuse
-    #: by :meth:`TwoPassAssembler.encode`
+    #: the operands as the target's :meth:`TwoPassAssembler.parse_operands`
+    #: returns them, for :meth:`TwoPassAssembler.size` and ``encode``
     parsed: object = None
+    #: the label defined at the start of the line
+    label: str = ""
+    #: what follows the code on its line: blanks, markers and comments
+    note: str = ""
+
+
+def render(statements: list[Statement]) -> str:
+    """Assembly text of ``statements``, one line each; numbers their lines."""
+    lines = []
+    for number, stmt in enumerate(statements, start=1):
+        stmt.line = number
+        if stmt.label:
+            code = f"{stmt.label}: {stmt.source}" if stmt.source else f"{stmt.label}:"
+        else:
+            code = f"    {stmt.source}" if stmt.source else ""
+        lines.append(code + stmt.note)
+    return "\n".join(lines) + "\n"
 
 
 class TwoPassAssembler:
-    """Parse and lay out in pass 1, resolve and encode in pass 2."""
+    """Size and place statements in pass 1, resolve and encode in pass 2."""
 
     #: data directive -> bytes per value
     DATA_WIDTHS: dict[str, int] = {}
@@ -117,6 +145,10 @@ class TwoPassAssembler:
 
     # -- target hooks ------------------------------------------------------------
 
+    def parse_operands(self, stmt: Statement) -> object:
+        """The operands of an instruction (or target directive), parsed."""
+        raise NotImplementedError
+
     def size(self, stmt: Statement) -> int:
         """Bytes an instruction (or target directive) occupies."""
         raise NotImplementedError
@@ -128,7 +160,11 @@ class TwoPassAssembler:
     # -- public API ------------------------------------------------------------
 
     def assemble(self, source: str) -> Program:
-        offsets = self._pass1(source)
+        return self.assemble_statements(self.parse(source))
+
+    def assemble_statements(self, statements: list[Statement]) -> Program:
+        """Lay out and encode a statement list (the layout pass)."""
+        offsets = self._pass1(statements)
         data_base = _align(self.code_base + offsets["text"], DATA_ALIGN)
         bases = {"text": self.code_base, "data": data_base}
         for name, (section, offset) in self._sym_sections.items():
@@ -154,61 +190,92 @@ class TwoPassAssembler:
             line_table=line_table,
         )
 
-    # -- pass 1: parse, size, place labels ------------------------------------
+    def parse(self, source: str) -> list[Statement]:
+        """Assembly text as statements, one per label and line.
 
-    def _pass1(self, source: str) -> dict[str, int]:
+        Each statement's ``func`` and ``src_line`` come from the profiler
+        markers.  When the source carries explicit ``;@fn`` markers
+        (compiler output), they alone decide function boundaries;
+        otherwise every non-local ``.text`` label starts a function.
+        """
+        statements: list[Statement] = []
         section = "text"
-        offsets = {"text": 0, "data": 0}
-        # When the source carries explicit ;@fn markers (compiler output),
-        # they alone decide function boundaries; otherwise fall back to
-        # treating every non-local .text label as a function entry.
         fn_markers = ";@fn" in source
         cur_func = ""
         for lineno, raw in enumerate(source.splitlines(), start=1):
-            stripped = strip_comment(raw)
-            comment = raw[len(stripped) :]
-            line = stripped.strip()
-            fn = FN_MARKER_RE.search(comment)
+            code = strip_comment(raw).rstrip()
+            note = raw[len(code) :]
+            line = code.strip()
+            fn = FN_MARKER_RE.search(note)
             if fn:
                 cur_func = fn.group(1)
+            labels = []
             while True:
                 match = _LABEL_RE.match(line)
                 if not match:
                     break
                 name = match.group(1)
-                self._check_new_symbol(name, "label", lineno)
-                self._sym_sections[name] = (section, offsets[section])
+                labels.append(name)
                 if not fn_markers and section == "text" and not name.startswith("."):
                     cur_func = name
                 line = line[match.end() :].strip()
+            last = labels.pop() if labels else ""
+            for name in labels:
+                statements.append(Statement("", [], lineno, label=name))
             if not line:
+                statements.append(Statement("", [], lineno, label=last, note=note))
                 continue
             parts = line.split(None, 1)
             mnemonic = parts[0].lower()
-            operands = split_operands(parts[1]) if len(parts) > 1 else []
+            if mnemonic in (".text", ".data"):
+                section = mnemonic[1:]
+            src = LINE_MARKER_RE.search(note)
+            statements.append(Statement(
+                mnemonic,
+                split_operands(parts[1]) if len(parts) > 1 else [],
+                lineno,
+                line,
+                func=cur_func,
+                src_line=int(src.group(1)) if src else 0,
+                label=last,
+                note=note,
+            ))
+        return statements
+
+    # -- pass 1: size and place ----------------------------------------------
+
+    def _pass1(self, statements: list[Statement]) -> dict[str, int]:
+        section = "text"
+        offsets = {"text": 0, "data": 0}
+        for stmt in statements:
+            if stmt.label:
+                self._check_new_symbol(stmt.label, "label", stmt.line)
+                self._sym_sections[stmt.label] = (section, offsets[section])
+            mnemonic = stmt.mnemonic
+            if not mnemonic:
+                continue
             if mnemonic in (".text", ".data"):
                 section = mnemonic[1:]
                 continue
             if mnemonic == ".global":
                 continue
             if mnemonic == ".equ":
-                self._equate(operands, lineno)
+                self._equate(stmt.operands, stmt.line)
                 continue
-            stmt = Statement(mnemonic, operands, lineno, line, section, offsets[section])
-            if section == "text":
-                src = LINE_MARKER_RE.search(comment)
-                stmt.func = cur_func
-                stmt.src_line = int(src.group(1)) if src else 0
+            stmt.section = section
+            stmt.offset = offsets[section]
             stmt.data = mnemonic.startswith(".") and mnemonic not in self.TARGET_DIRECTIVES
             if stmt.data:
                 if section == "text" and not self.DATA_IN_TEXT:
                     raise AssemblerError(
-                        f"data directive {mnemonic} only allowed in .data", lineno
+                        f"data directive {mnemonic} only allowed in .data", stmt.line
                     )
                 stmt.size = self._data_size(stmt)
             elif section != "text":
-                raise AssemblerError("instructions only allowed in .text", lineno)
+                raise AssemblerError("instructions only allowed in .text", stmt.line)
             else:
+                if stmt.parsed is None:
+                    stmt.parsed = self.parse_operands(stmt)
                 stmt.size = self.size(stmt)
             offsets[section] += stmt.size
             self._statements.append(stmt)
@@ -290,6 +357,8 @@ class TwoPassAssembler:
 
     def evaluate(self, text: str, line: int) -> int:
         """Evaluate ``number | symbol | symbol±number``."""
+        if text in self.symbols:
+            return self.symbols[text]
         try:
             return parse_number(text, line)
         except AssemblerError:

@@ -54,15 +54,19 @@ def _reg_lookup(name: str, line: int) -> int:
 
 
 @dataclasses.dataclass(slots=True)
-class _Operand:
-    """A parsed operand with enough information for exact sizing."""
+class Operand:
+    """A parsed operand specifier with enough information for exact sizing."""
 
-    kind: str  # literal, immediate, register, deferred, autoinc, autodec, disp, absolute, symbol
+    #: literal, immediate, register, deferred, autoinc, autodec, disp,
+    #: absolute, symbol, or mask (the operand of ``.entry``)
+    kind: str
     reg: int = 0
     value: int = 0
     symbol: str | None = None
     #: constant added to a symbol's resolved value (``sym+4`` operands)
     addend: int = 0
+    #: how the operand is written
+    text: str = ""
 
     def size(self, width: int, access: str) -> int:
         if access == "b":
@@ -88,41 +92,77 @@ def _disp_bytes(value: int) -> int:
     return 4
 
 
-def parse_operand(text: str, line: int) -> _Operand:
+def parse_operand(text: str, line: int) -> Operand:
     text = text.strip()
     if text.startswith("@#"):
         rest = text[2:]
         expr = split_symbol(rest, line)
         if expr:
-            return _Operand("absolute", symbol=expr[0], addend=expr[1])
-        return _Operand("absolute", value=parse_number(rest, line))
+            return Operand("absolute", symbol=expr[0], addend=expr[1], text=text)
+        return Operand("absolute", value=parse_number(rest, line), text=text)
     if text.startswith("#"):
         rest = text[1:]
         if NAME_RE.match(rest) and not rest.lstrip("-").isdigit():
-            return _Operand("immediate", symbol=rest)
-        value = parse_number(rest, line)
-        if 0 <= value <= 63:
-            return _Operand("literal", value=value)
-        return _Operand("immediate", value=value)
+            return Operand("immediate", symbol=rest, text=text)
+        return immediate(parse_number(rest, line), text)
     lowered = text.lower()
     if lowered in REGISTER_NAMES:
-        return _Operand("register", reg=REGISTER_NAMES[lowered])
+        return Operand("register", reg=REGISTER_NAMES[lowered], text=text)
     match = _AUTODEC_RE.match(text)
     if match:
-        return _Operand("autodec", reg=_reg_lookup(match.group(1), line))
+        return Operand("autodec", reg=_reg_lookup(match.group(1), line), text=text)
     match = _AUTOINC_RE.match(text)
     if match:
-        return _Operand("autoinc", reg=_reg_lookup(match.group(1), line))
+        return Operand("autoinc", reg=_reg_lookup(match.group(1), line), text=text)
     match = _DEFERRED_RE.match(text)
     if match:
-        return _Operand("deferred", reg=_reg_lookup(match.group(1), line))
+        return Operand("deferred", reg=_reg_lookup(match.group(1), line), text=text)
     match = _DISP_RE.match(text)
     if match:
         disp = parse_number(match.group(1), line)
-        return _Operand("disp", reg=_reg_lookup(match.group(2), line), value=disp)
+        return Operand("disp", reg=_reg_lookup(match.group(2), line), value=disp, text=text)
     if NAME_RE.match(text):
-        return _Operand("symbol", symbol=text)
+        return Operand("symbol", symbol=text, text=text)
     raise AssemblerError(f"cannot parse operand {text!r}", line)
+
+
+# -- operands for code generators --------------------------------------------------
+
+
+def immediate(value: int, text: str = "") -> Operand:
+    """``#value``: a short literal when it fits in 6 bits."""
+    kind = "literal" if 0 <= value <= 63 else "immediate"
+    return Operand(kind, value=value, text=text or f"#{value}")
+
+
+_REGISTERS = {
+    name: Operand("register", reg=number, text=name) for name, number in REGISTER_NAMES.items()
+}
+
+
+def register(name: str) -> Operand:
+    """A register by name (``r2``, ``sp``)."""
+    return _REGISTERS[name]
+
+
+def displacement(offset: int, base: str) -> Operand:
+    """``offset(base)``."""
+    return Operand("disp", reg=REGISTER_NAMES[base], value=offset, text=f"{offset}({base})")
+
+
+def deferred(base: str) -> Operand:
+    """``(base)``."""
+    return Operand("deferred", reg=REGISTER_NAMES[base], text=f"({base})")
+
+
+def absolute(name: str) -> Operand:
+    """``@#name``: the memory word at a symbol's address."""
+    return Operand("absolute", symbol=name, text=f"@#{name}")
+
+
+def symbol(name: str) -> Operand:
+    """A bare symbol: a branch target or a procedure."""
+    return Operand("symbol", symbol=name, text=name)
 
 
 class VaxAssembler(TwoPassAssembler):
@@ -133,10 +173,14 @@ class VaxAssembler(TwoPassAssembler):
     TARGET_DIRECTIVES = frozenset({".entry"})
     DATA_IN_TEXT = True
 
-    def size(self, stmt: Statement) -> int:
+    def parse_operands(self, stmt: Statement) -> list[Operand]:
+        """The operand specifiers, or the register mask of ``.entry``."""
         m = stmt.mnemonic
         if m == ".entry":
-            return 2
+            return [
+                Operand("mask", value=parse_number(text, stmt.line), text=text)
+                for text in stmt.operands[:1]
+            ]
         info = INSTRUCTIONS.get(m)
         if info is None:
             raise AssemblerError(f"unknown mnemonic {m!r}", stmt.line)
@@ -145,7 +189,12 @@ class VaxAssembler(TwoPassAssembler):
                 f"{m} expects {len(info.operands)} operand(s), got {len(stmt.operands)}",
                 stmt.line,
             )
-        stmt.parsed = [parse_operand(text, stmt.line) for text in stmt.operands]
+        return [parse_operand(text, stmt.line) for text in stmt.operands]
+
+    def size(self, stmt: Statement) -> int:
+        if stmt.mnemonic == ".entry":
+            return 2
+        info = INSTRUCTIONS[stmt.mnemonic]
         return 1 + sum(
             operand.size(spec.width, spec.access)
             for operand, spec in zip(stmt.parsed, info.operands)
@@ -153,22 +202,21 @@ class VaxAssembler(TwoPassAssembler):
 
     def encode(self, stmt: Statement, address: int) -> bytes:
         if stmt.mnemonic == ".entry":
-            mask = parse_number(stmt.operands[0], stmt.line) if stmt.operands else 0
-            return mask.to_bytes(2, "big")
+            return (stmt.parsed[0].value if stmt.parsed else 0).to_bytes(2, "big")
         info = INSTRUCTIONS[stmt.mnemonic]
         out = bytearray([info.opcode])
         for operand, spec in zip(stmt.parsed, info.operands):
             out += self._encode_operand(operand, spec, address + len(out), stmt.line)
         return bytes(out)
 
-    def _value(self, operand: _Operand, line: int) -> int:
+    def _value(self, operand: Operand, line: int) -> int:
         """A symbolic operand's resolved address, else its number."""
         if operand.symbol:
             return self.resolve(operand.symbol, line) + operand.addend
         return operand.value
 
     def _encode_operand(
-        self, operand: _Operand, spec: OperandSpec, cursor: int, line: int
+        self, operand: Operand, spec: OperandSpec, cursor: int, line: int
     ) -> bytes:
         if spec.access == "b":
             if operand.kind in ("symbol", "immediate", "literal"):

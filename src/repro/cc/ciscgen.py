@@ -22,17 +22,22 @@ slot would read the wrong byte.
 
 from __future__ import annotations
 
+from repro.asm.core import render
+from repro.baselines.vax.assembler import (
+    Operand, VaxAssembler, absolute, deferred, displacement, immediate, register, symbol,
+)
 from repro.cc import ir
-from repro.cc.codegen import FunctionCodegen, ModuleCodegen
+from repro.cc.codegen import FunctionCodegen, ModuleCodegen, runtime_routine
 from repro.cc.errors import CompileError
 from repro.cc.regalloc import allocate
 from repro.cc.sema import VarInfo
 
-MMIO_PUTCHAR = "@#0x7F000000"
-MMIO_PUTINT = "@#0x7F000004"
-MMIO_HALT = "@#0x7F00000C"
+MMIO_PUTCHAR = Operand("absolute", value=0x7F000000, text="@#0x7F000000")
+MMIO_PUTINT = Operand("absolute", value=0x7F000004, text="@#0x7F000004")
+MMIO_HALT = Operand("absolute", value=0x7F00000C, text="@#0x7F00000C")
 
 _TEMP_POOL = [2, 3, 4, 5]
+R0, R1, SP = register("r0"), register("r1"), register("sp")
 
 _BINOP3 = {"+": "addl3", "&": "andl3", "|": "bisl3", "^": "xorl3", "*": "mull3"}
 _REL_BRANCH = {"==": "beql", "!=": "bneq", "<": "blss", "<=": "bleq", ">": "bgtr", ">=": "bgeq"}
@@ -57,19 +62,19 @@ class _FunctionCodegen(FunctionCodegen):
     """Places variables in memory and lowers IR to VAX-like instructions."""
 
     def __init__(self, func: ir.IRFunction, used_runtime: set[str]):
-        self.var_text: dict[VarInfo, str] = {}
+        self.var_operand: dict[VarInfo, Operand] = {}
         super().__init__(func, used_runtime)
 
     # -- placement ---------------------------------------------------------
 
     def _place_variables(self) -> None:
         for i, param in enumerate(self.func.params):
-            self.var_text[param] = f"{4 + 4 * i}(ap)"
+            self.var_operand[param] = displacement(4 + 4 * i, "ap")
         offset = 0
         for var in self.func.locals:
             size = (var.type.size + 3) & ~3
             offset += size
-            self.var_text[var] = f"{-offset}(fp)"
+            self.var_operand[var] = displacement(-offset, "fp")
         self.alloc = allocate(self.func.instrs, _TEMP_POOL)
         self._locals_size = offset
         offset += 4 * self.alloc.num_spill_slots
@@ -77,28 +82,28 @@ class _FunctionCodegen(FunctionCodegen):
 
     # -- operands -----------------------------------------------------------------
 
-    def operand(self, op: ir.Operand) -> str:
-        """Operand text, folding memory and immediate operands directly."""
+    def operand(self, op: ir.Operand) -> Operand:
+        """The operand specifier, folding memory and immediate operands directly."""
         if isinstance(op, int):
-            return f"#{op}"
+            return immediate(op)
         if isinstance(op, ir.Temp):
             if op in self.alloc.registers:
-                return f"r{self.alloc.registers[op]}"
+                return register(f"r{self.alloc.registers[op]}")
             slot = self._locals_size + 4 + 4 * self.alloc.spills[op]
-            return f"{-slot}(fp)"
-        if op in self.var_text:
-            return self.var_text[op]
-        return f"@#{op.name}"  # global
+            return displacement(-slot, "fp")
+        if op in self.var_operand:
+            return self.var_operand[op]
+        return absolute(op.name)  # global
 
-    def reg_operand(self, op: ir.Operand, scratch: str) -> str:
+    def reg_operand(self, op: ir.Operand, scratch: Operand) -> Operand:
         """Force an operand into a register (needed for byte stores etc.)."""
-        text = self.operand(op)
-        if text.startswith("r") and text[1:].isdigit():
-            return text
-        self.emit(f"movl {text}, {scratch}")
+        operand = self.operand(op)
+        if operand.kind == "register":
+            return operand
+        self.emit("movl", operand, scratch)
         return scratch
 
-    def dest(self, dst: ir.Temp) -> str:
+    def dest(self, dst: ir.Temp) -> Operand:
         return self.operand(dst)
 
     # -- body -----------------------------------------------------------------------
@@ -107,9 +112,9 @@ class _FunctionCodegen(FunctionCodegen):
         mask = 0
         for reg in set(self.alloc.registers.values()):
             mask |= 1 << reg
-        self.emit(f".entry {mask:#06x}")
+        self.emit(".entry", Operand("mask", value=mask, text=f"{mask:#06x}"))
         if self.frame_size:
-            self.emit(f"subl2 #{self.frame_size}, sp")
+            self.emit("subl2", immediate(self.frame_size), SP)
 
     def _gen_const(self, instr: ir.Const) -> None:
         self._movl(instr.value, instr.dst)
@@ -124,26 +129,26 @@ class _FunctionCodegen(FunctionCodegen):
         self._movl(instr.src, instr.var)
 
     def _movl(self, src: ir.Operand, dst: ir.Operand) -> None:
-        self.emit(f"movl {self.operand(src)}, {self.operand(dst)}")
+        self.emit("movl", self.operand(src), self.operand(dst))
 
     def _gen_jump(self, instr: ir.Jump) -> None:
-        self.emit(f"brw {instr.target}")
+        self.emit("brw", symbol(instr.target))
 
     def _gen_cbranch(self, instr: ir.CBranch) -> None:
-        self.emit(f"cmpl {self.operand(instr.a)}, {self.operand(instr.b)}")
-        self.emit(f"{_REL_BRANCH[instr.op]} {instr.target}")
+        self.emit("cmpl", self.operand(instr.a), self.operand(instr.b))
+        self.emit(_REL_BRANCH[instr.op], symbol(instr.target))
 
     def _gen_ret(self, instr: ir.Ret) -> None:
         if instr.src is not None:
-            self.emit(f"movl {self.operand(instr.src)}, r0")
+            self.emit("movl", self.operand(instr.src), R0)
         self.emit("ret")
 
     def _gen_addrvar(self, instr: ir.AddrVar) -> None:
         var = instr.var
-        if var in self.var_text:
-            self.emit(f"moval {self.var_text[var]}, {self.dest(instr.dst)}")
+        if var in self.var_operand:
+            self.emit("moval", self.var_operand[var], self.dest(instr.dst))
         elif var.is_global:
-            self.emit(f"moval @#{var.name}, {self.dest(instr.dst)}")
+            self.emit("moval", absolute(var.name), self.dest(instr.dst))
         else:
             raise CompileError(f"ciscgen: address of unknown variable {var.name!r}")
 
@@ -151,15 +156,15 @@ class _FunctionCodegen(FunctionCodegen):
         dst = self.dest(instr.dst)
         src = self.operand(instr.src)
         if instr.op == "neg":
-            self.emit(f"mnegl {src}, {dst}")
+            self.emit("mnegl", src, dst)
         elif instr.op == "bnot":
-            self.emit(f"mcoml {src}, {dst}")
+            self.emit("mcoml", src, dst)
         else:  # lnot
             done = self._local_label("lnot")
-            self.emit(f"clrl {dst}")
-            self.emit(f"tstl {src}")
-            self.emit(f"bneq {done}")
-            self.emit(f"incl {dst}")
+            self.emit("clrl", dst)
+            self.emit("tstl", src)
+            self.emit("bneq", symbol(done))
+            self.emit("incl", dst)
             self.emit_label(done)
 
     def _gen_binop(self, instr: ir.BinOp) -> None:
@@ -167,16 +172,16 @@ class _FunctionCodegen(FunctionCodegen):
         a, b = self.operand(instr.a), self.operand(instr.b)
         op = instr.op
         if op in _BINOP3:
-            self.emit(f"{_BINOP3[op]} {b}, {a}, {dst}")
+            self.emit(_BINOP3[op], b, a, dst)
         elif op == "-":
-            self.emit(f"subl3 {b}, {a}, {dst}")  # dif = min - sub
+            self.emit("subl3", b, a, dst)  # dif = min - sub
         elif op == "/":
-            self.emit(f"divl3 {b}, {a}, {dst}")  # quo = dividend / divisor
+            self.emit("divl3", b, a, dst)  # quo = dividend / divisor
         elif op == "%":
             # no EDIV in the baseline: r = a - (a/b)*b
-            self.emit(f"divl3 {b}, {a}, r0")
-            self.emit(f"mull3 r0, {b}, r1")
-            self.emit(f"subl3 r1, {a}, {dst}")
+            self.emit("divl3", b, a, R0)
+            self.emit("mull3", R0, b, R1)
+            self.emit("subl3", R1, a, dst)
         elif op == "<<":
             self._gen_shift(instr, left=True)
         elif op == ">>":
@@ -192,86 +197,86 @@ class _FunctionCodegen(FunctionCodegen):
             count = instr.b & 31
             if not left:
                 count = -count
-            self.emit(f"ashl #{count & 0xFF}, {src}, {dst}")
+            self.emit("ashl", immediate(count & 0xFF), src, dst)
             return
         # the count operand is byte-width: stage memory-resident counts in a
         # register so the low byte read picks up the right end of the word.
         # Mask to 5 bits *before* negating — ashl reads a signed byte, so an
         # unmasked count outside [0, 127] (or negative) would change both
         # magnitude and direction and diverge from the RISC I shifter.
-        count = self.reg_operand(instr.b, "r0")
-        self.emit(f"andl3 #31, {count}, r0")
-        if left:
-            self.emit(f"ashl r0, {src}, {dst}")
-        else:
-            self.emit(f"mnegl r0, r0")
-            self.emit(f"ashl r0, {src}, {dst}")
+        count = self.reg_operand(instr.b, R0)
+        self.emit("andl3", immediate(31), count, R0)
+        if not left:
+            self.emit("mnegl", R0, R0)
+        self.emit("ashl", R0, src, dst)
 
     def _gen_setcmp(self, instr: ir.SetCmp) -> None:
         dst = self.dest(instr.dst)
         done = self._local_label("scc")
-        self.emit(f"clrl {dst}")
-        self.emit(f"cmpl {self.operand(instr.a)}, {self.operand(instr.b)}")
-        self.emit(f"{_REL_INVERSE[instr.op]} {done}")
-        self.emit(f"incl {dst}")
+        self.emit("clrl", dst)
+        self.emit("cmpl", self.operand(instr.a), self.operand(instr.b))
+        self.emit(_REL_INVERSE[instr.op], symbol(done))
+        self.emit("incl", dst)
         self.emit_label(done)
 
-    def _mem_operand(self, addr: ir.Operand, offset: int) -> str:
-        """Memory operand text for a computed address plus constant offset."""
+    def _mem_operand(self, addr: ir.Operand, offset: int) -> Operand:
+        """Memory operand for a computed address plus constant offset."""
         if isinstance(addr, ir.Temp) and addr in self.alloc.registers:
             reg = f"r{self.alloc.registers[addr]}"
         else:
-            reg = self.reg_operand(addr, "r1")
-        return f"({reg})" if offset == 0 else f"{offset}({reg})"
+            reg = self.reg_operand(addr, R1).text
+        return deferred(reg) if offset == 0 else displacement(offset, reg)
 
     def _gen_load(self, instr: ir.Load) -> None:
         dst = self.dest(instr.dst)
         mem = self._mem_operand(instr.addr, instr.offset)
         if instr.width == 4:
-            self.emit(f"movl {mem}, {dst}")
+            self.emit("movl", mem, dst)
         elif instr.width == 2:
-            self.emit(f"{'cvtwl' if instr.signed else 'movzwl'} {mem}, {dst}")
+            self.emit("cvtwl" if instr.signed else "movzwl", mem, dst)
         else:
-            self.emit(f"{'cvtbl' if instr.signed else 'movzbl'} {mem}, {dst}")
+            self.emit("cvtbl" if instr.signed else "movzbl", mem, dst)
 
     def _gen_store(self, instr: ir.Store) -> None:
         mem = self._mem_operand(instr.addr, instr.offset)
         if instr.width == 4:
-            self.emit(f"movl {self.operand(instr.src)}, {mem}")
+            self.emit("movl", self.operand(instr.src), mem)
             return
-        value = self.reg_operand(instr.src, "r0")
-        self.emit(f"{'movb' if instr.width == 1 else 'movw'} {value}, {mem}")
+        value = self.reg_operand(instr.src, R0)
+        self.emit("movb" if instr.width == 1 else "movw", value, mem)
 
     def _gen_call(self, instr: ir.Call) -> None:
         if instr.name == "putchar":
-            self.emit(f"movl {self.operand(instr.args[0])}, {MMIO_PUTCHAR}")
+            self.emit("movl", self.operand(instr.args[0]), MMIO_PUTCHAR)
             return
         if instr.name == "putint":
-            self.emit(f"movl {self.operand(instr.args[0])}, {MMIO_PUTINT}")
+            self.emit("movl", self.operand(instr.args[0]), MMIO_PUTINT)
             return
         name = "__puts" if instr.name == "puts" else instr.name
         if name == "__puts":
             self.used_runtime.add(name)
         for arg in reversed(instr.args):
-            self.emit(f"pushl {self.operand(arg)}")
-        self.emit(f"calls #{len(instr.args)}, {name}")
+            self.emit("pushl", self.operand(arg))
+        self.emit("calls", immediate(len(instr.args)), symbol(name))
         if instr.dst is not None:
-            self.emit(f"movl r0, {self.dest(instr.dst)}")
+            self.emit("movl", R0, self.dest(instr.dst))
 
 
 class CiscCodegen(ModuleCodegen):
-    """Generates a complete VAX-like assembly module from an IR program."""
+    """Generates a complete VAX-like module from an IR program."""
 
     BACKEND = "VAX-like CISC backend"
     ENTRY = "__start"
-    START = ("calls #0, main", f"movl r0, {MMIO_HALT}")
+    START = (("calls", immediate(0), symbol("main")), ("movl", R0, MMIO_HALT))
     WORD = ".long"
     FUNCTION = _FunctionCodegen
 
-    def runtime(self) -> str:
-        return PUTS_RUNTIME if "__puts" in self.used_runtime else ""
+    def runtime(self):
+        if "__puts" not in self.used_runtime:
+            return []
+        return runtime_routine(VaxAssembler, PUTS_RUNTIME)
 
 
 def generate_cisc_assembly(program: ir.IRProgram) -> str:
     """IR program -> VAX-like assembly text."""
-    return CiscCodegen(program).generate()
+    return render(CiscCodegen(program).generate())

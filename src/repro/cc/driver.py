@@ -2,9 +2,13 @@
 
 Targets:
 
-* ``"risc1"`` — the paper's machine (assembled by :mod:`repro.asm`);
-* ``"cisc"`` — the VAX-like baseline (assembled by
+* ``"risc1"`` — the paper's machine (laid out by :mod:`repro.asm`);
+* ``"cisc"`` — the VAX-like baseline (laid out by
   :mod:`repro.baselines.vax.assembler`).
+
+Only the lexer reads text.  :func:`compile_ir` lowers one IR for a
+target: the code generator's statement list goes through the delay-slot
+filler to the layout pass; the assembly text is a rendering of it.
 """
 
 from __future__ import annotations
@@ -13,12 +17,12 @@ import dataclasses
 import pickle
 from typing import Optional
 
-from repro.cc.delay import DelayStats, optimize
+from repro.asm.core import render
+from repro.cc.delay import DelayStats, fill_delay_slots as fill_slots
 from repro.cc.errors import CompileError
 from repro.cc.ir import IRProgram
 from repro.cc.irgen import generate_ir
 from repro.cc.parser import parse
-from repro.cc.riscgen import generate_risc_assembly
 from repro.cc.sema import analyze
 from repro.core.program import Program
 from repro.obs.profiling import span
@@ -91,33 +95,56 @@ def compile_program(
     """
     if target not in TARGETS:
         raise CompileError(f"unknown target {target!r}; expected one of {TARGETS}")
-    ir_program = compile_to_ir(source, tracer)
+    return compile_ir(
+        compile_to_ir(source, tracer),
+        target,
+        fill_delay_slots=fill_delay_slots,
+        tracer=tracer,
+        filename=filename,
+        source=source,
+    )
 
+
+def compile_ir(
+    ir_program: IRProgram,
+    target: str = "risc1",
+    *,
+    fill_delay_slots: bool = True,
+    tracer=None,
+    filename: str = "<source>",
+    source: str = "",
+) -> CompiledProgram:
+    """Back half of the compiler: IR -> program image for one target.
+
+    The IR is only read, so one :func:`compile_to_ir` result can be
+    lowered for both targets.  ``source`` is kept on the result for the
+    profiler; the other options are those of :func:`compile_program`.
+    """
+    if target not in TARGETS:
+        raise CompileError(f"unknown target {target!r}; expected one of {TARGETS}")
+    delay_stats = None
     if target == "risc1":
-        from repro.asm.assembler import assemble
+        from repro.asm.assembler import Assembler
+        from repro.cc.riscgen import RiscCodegen
 
         with span(tracer, "cc.riscgen", target=target):
-            asm = generate_risc_assembly(ir_program)
-        delay_stats = None
+            statements = RiscCodegen(ir_program).generate()
         if fill_delay_slots:
             with span(tracer, "cc.delay"):
-                asm, delay_stats = optimize(asm)
-        with span(tracer, "asm.assemble", target=target):
-            program = assemble(asm)
-        program = dataclasses.replace(program, source_file=filename)
-        return CompiledProgram(
-            "risc1", asm, program, ir_program, delay_stats, source=source
-        )
+                statements, delay_stats = fill_slots(statements)
+        assembler = Assembler()
+    else:
+        from repro.baselines.vax.assembler import VaxAssembler
+        from repro.cc.ciscgen import CiscCodegen
 
-    from repro.baselines.vax.assembler import assemble_vax
-    from repro.cc.ciscgen import generate_cisc_assembly
-
-    with span(tracer, "cc.ciscgen", target=target):
-        asm = generate_cisc_assembly(ir_program)
+        with span(tracer, "cc.ciscgen", target=target):
+            statements = CiscCodegen(ir_program).generate()
+        assembler = VaxAssembler()
     with span(tracer, "asm.assemble", target=target):
-        program = assemble_vax(asm)
+        asm = render(statements)
+        program = assembler.assemble_statements(statements)
     program = dataclasses.replace(program, source_file=filename)
-    return CompiledProgram("cisc", asm, program, ir_program, None, source=source)
+    return CompiledProgram(target, asm, program, ir_program, delay_stats, source=source)
 
 
 def run_compiled(

@@ -173,11 +173,11 @@ class SrcLoc(Instr):
     """Zero-cost annotation: the following instructions came from this
     source line.
 
-    Emitted by the IR generator at every statement boundary and turned
-    into ``;@line`` comment markers by the code generators, which the
-    assemblers collect into the :class:`repro.core.program.Program` line
-    table.  Interpreters, estimators and the register allocator all skip
-    it.
+    Emitted by the IR generator at every statement boundary; the code
+    generators stamp the statements that follow with it, and the layout
+    pass collects those stamps into the :class:`repro.core.program.Program`
+    line table.  Interpreters, estimators and the register allocator all
+    skip it.
     """
 
     line: int

@@ -1,70 +1,28 @@
-"""Lexer for the mini-C dialect."""
+"""Lexer for the mini-C dialect.
+
+One compiled master regex scans the source: each match skips blanks and
+yields one newline, comment or token, and the group that matched says
+which.  Maximal munch for operators comes from the alternation, which
+lists the longest operators first.
+"""
 
 from __future__ import annotations
 
 import dataclasses
 import enum
+import re
 
 from repro.cc.errors import CompileError
 
 KEYWORDS = {
-    "int",
-    "char",
-    "void",
-    "if",
-    "else",
-    "while",
-    "for",
-    "do",
-    "return",
-    "break",
-    "continue",
+    "int", "char", "void", "if", "else", "while", "for", "do", "return", "break", "continue",
 }
 
-#: Multi-character operators, longest first so maximal munch works.
-OPERATORS = [
-    "<<=",
-    ">>=",
-    "==",
-    "!=",
-    "<=",
-    ">=",
-    "&&",
-    "||",
-    "<<",
-    ">>",
-    "++",
-    "--",
-    "+=",
-    "-=",
-    "*=",
-    "/=",
-    "%=",
-    "&=",
-    "|=",
-    "^=",
-    "+",
-    "-",
-    "*",
-    "/",
-    "%",
-    "<",
-    ">",
-    "=",
-    "!",
-    "~",
-    "&",
-    "|",
-    "^",
-    "(",
-    ")",
-    "{",
-    "}",
-    "[",
-    "]",
-    ";",
-    ",",
-]
+#: Operators, longest first so maximal munch works.
+OPERATORS = (
+    "<<= >>= == != <= >= && || << >> ++ -- += -= *= /= %= &= |= ^= "
+    "+ - * / % < > = ! ~ & | ^ ( ) { } [ ] ; ,"
+).split()
 
 
 class TokenKind(enum.Enum):
@@ -77,7 +35,7 @@ class TokenKind(enum.Enum):
     EOF = "end of input"
 
 
-@dataclasses.dataclass(frozen=True)
+@dataclasses.dataclass(slots=True)
 class Token:
     kind: TokenKind
     text: str
@@ -88,111 +46,100 @@ class Token:
         return f"Token({self.kind.name}, {self.text!r}, line {self.line})"
 
 
+_ESCAPES = {"n": "\n", "t": "\t", "r": "\r", "0": "\0", "\\": "\\", "'": "'", '"': '"'}
+_ESCAPE = r"""\\[ntr0\\'"]"""
+
+#: Blanks, then one of (by group number): 1 newline, 2 line comment,
+#: 3 block comment, 4 an unterminated one, 5 hex number, 6 decimal
+#: number, 7 identifier or keyword, 8 character literal, 9 string
+#: literal, 10 operator, 11 anything else.  A well-formed character or
+#: string literal matches 8 or 9; a malformed one falls to 11, where
+#: :func:`_bad_literal` names what is wrong.
+_TOKEN_RE = re.compile(
+    rf"""[ \t\r]*(?:
+      (\n)
+    | (//[^\n]*)
+    | (/\*.*?\*/)
+    | (/\*)
+    | (0[xX][0-9a-fA-F]*)
+    | (\d+)
+    | ([^\W\d]\w*)
+    | ('(?:{_ESCAPE}|[^\\])')
+    | ("(?:{_ESCAPE}|[^"\\\n])*")
+    | ({"|".join(re.escape(op) for op in OPERATORS)})
+    | (.)
+    )""",
+    re.VERBOSE | re.DOTALL,
+)
+_ESCAPE_RE = re.compile(r"\\(.)")
+
+
 def tokenize(source: str) -> list[Token]:
     """Turn mini-C source text into a token list ending with EOF."""
     tokens: list[Token] = []
+    append = tokens.append
     line = 1
-    i = 0
-    length = len(source)
-    while i < length:
-        ch = source[i]
-        if ch == "\n":
+    IDENT, KEYWORD, OP, NUMBER = TokenKind.IDENT, TokenKind.KEYWORD, TokenKind.OP, TokenKind.NUMBER
+    # without trailing blanks every match ends in a newline, comment or token
+    source = source.rstrip(" \t\r")
+    for match in _TOKEN_RE.finditer(source):
+        group = match.lastindex
+        text = match.group(group)
+        if group == 7:
+            if text in KEYWORDS:
+                append(Token(KEYWORD, text, line))
+            elif text.isascii() or text[0].isalpha() or text[0] == "_":
+                append(Token(IDENT, text, line))
+            else:  # a digit or numeral that is not a decimal one
+                raise CompileError(f"unexpected character {text[0]!r}", line)
+        elif group == 10:
+            append(Token(OP, text, line))
+        elif group == 1:
             line += 1
-            i += 1
-            continue
-        if ch in " \t\r":
-            i += 1
-            continue
-        if source.startswith("//", i):
-            end = source.find("\n", i)
-            i = length if end < 0 else end
-            continue
-        if source.startswith("/*", i):
-            end = source.find("*/", i + 2)
-            if end < 0:
-                raise CompileError("unterminated block comment", line)
-            line += source.count("\n", i, end)
-            i = end + 2
-            continue
-        if ch.isdigit():
-            i = _lex_number(source, i, line, tokens)
-            continue
-        if ch.isalpha() or ch == "_":
-            start = i
-            while i < length and (source[i].isalnum() or source[i] == "_"):
-                i += 1
-            text = source[start:i]
-            kind = TokenKind.KEYWORD if text in KEYWORDS else TokenKind.IDENT
-            tokens.append(Token(kind, text, line))
-            continue
-        if ch == "'":
-            i = _lex_char(source, i, line, tokens)
-            continue
-        if ch == '"':
-            i = _lex_string(source, i, line, tokens)
-            continue
-        for op in OPERATORS:
-            if source.startswith(op, i):
-                tokens.append(Token(TokenKind.OP, op, line))
-                i += len(op)
-                break
-        else:
-            raise CompileError(f"unexpected character {ch!r}", line)
-    tokens.append(Token(TokenKind.EOF, "", line))
+        elif group == 6:
+            append(Token(NUMBER, text, line, int(text)))
+        elif group == 5:
+            if len(text) == 2:
+                raise CompileError(f"hex literal {text!r} has no digits", line)
+            append(Token(NUMBER, text, line, int(text, 16)))
+        elif group == 3:
+            line += text.count("\n")
+        elif group == 8:
+            char = _ESCAPES[text[2]] if text[1] == "\\" else text[1]
+            append(Token(TokenKind.CHAR, char, line, ord(char)))
+        elif group == 9:
+            body = text[1:-1]
+            if "\\" in body:
+                body = _ESCAPE_RE.sub(lambda m: _ESCAPES[m.group(1)], body)
+            append(Token(TokenKind.STRING, body, line))
+        elif group == 4:
+            raise CompileError("unterminated block comment", line)
+        elif group == 11:
+            raise CompileError(_bad_literal(source, match.start(group)), line)
+    append(Token(TokenKind.EOF, "", line))
     return tokens
 
 
-def _lex_number(source: str, i: int, line: int, tokens: list[Token]) -> int:
-    start = i
-    if source.startswith(("0x", "0X"), i):
-        i += 2
-        while i < len(source) and source[i] in "0123456789abcdefABCDEF":
-            i += 1
-        value = int(source[start:i], 16)
-    else:
-        while i < len(source) and source[i].isdigit():
-            i += 1
-        value = int(source[start:i])
-    tokens.append(Token(TokenKind.NUMBER, source[start:i], line, value=value))
-    return i
-
-
-_ESCAPES = {"n": "\n", "t": "\t", "r": "\r", "0": "\0", "\\": "\\", "'": "'", '"': '"'}
-
-
-def _lex_char(source: str, i: int, line: int, tokens: list[Token]) -> int:
-    i += 1  # opening quote
-    if i >= len(source):
-        raise CompileError("unterminated character literal", line)
-    if source[i] == "\\":
-        if i + 1 >= len(source) or source[i + 1] not in _ESCAPES:
-            raise CompileError("bad escape in character literal", line)
-        ch = _ESCAPES[source[i + 1]]
-        i += 2
-    else:
-        ch = source[i]
+def _bad_literal(source: str, i: int) -> str:
+    """What is wrong with the character at ``i``: a malformed literal
+    starting there, or an unexpected character."""
+    quote = source[i]
+    if quote == "'":
         i += 1
-    if i >= len(source) or source[i] != "'":
-        raise CompileError("unterminated character literal", line)
-    tokens.append(Token(TokenKind.CHAR, ch, line, value=ord(ch)))
-    return i + 1
-
-
-def _lex_string(source: str, i: int, line: int, tokens: list[Token]) -> int:
-    i += 1
-    chars: list[str] = []
-    while i < len(source) and source[i] != '"':
-        if source[i] == "\n":
-            raise CompileError("newline in string literal", line)
-        if source[i] == "\\":
+        if i < len(source) and source[i] == "\\":
             if i + 1 >= len(source) or source[i + 1] not in _ESCAPES:
-                raise CompileError("bad escape in string literal", line)
-            chars.append(_ESCAPES[source[i + 1]])
-            i += 2
-        else:
-            chars.append(source[i])
-            i += 1
-    if i >= len(source):
-        raise CompileError("unterminated string literal", line)
-    tokens.append(Token(TokenKind.STRING, "".join(chars), line))
-    return i + 1
+                return "bad escape in character literal"
+        return "unterminated character literal"
+    if quote == '"':
+        i += 1
+        while i < len(source) and source[i] != '"':
+            if source[i] == "\n":
+                return "newline in string literal"
+            if source[i] == "\\":
+                if i + 1 >= len(source) or source[i + 1] not in _ESCAPES:
+                    return "bad escape in string literal"
+                i += 2
+            else:
+                i += 1
+        return "unterminated string literal"
+    return f"unexpected character {quote!r}"

@@ -51,7 +51,8 @@ class Parser:
         return token
 
     def _check_op(self, text: str) -> bool:
-        return self._cur.kind is TokenKind.OP and self._cur.text == text
+        token = self._tokens[self._pos]
+        return token.text == text and token.kind is TokenKind.OP
 
     def _accept_op(self, text: str) -> bool:
         if self._check_op(text):
@@ -290,15 +291,16 @@ class Parser:
 
     def _parse_binary(self, min_precedence: int) -> ast.Expr:
         left = self._parse_unary()
-        while (
-            self._cur.kind is TokenKind.OP
-            and self._cur.text in _PRECEDENCE
-            and _PRECEDENCE[self._cur.text] > min_precedence
-        ):
-            op_token = self._advance()
-            right = self._parse_binary(_PRECEDENCE[op_token.text])
-            left = ast.Binary(op_token.line, op=op_token.text, left=left, right=right)
-        return left
+        while True:
+            token = self._tokens[self._pos]
+            if token.kind is not TokenKind.OP:
+                return left
+            precedence = _PRECEDENCE.get(token.text, 0)  # every operator's is >= 1
+            if precedence <= min_precedence:
+                return left
+            self._advance()
+            right = self._parse_binary(precedence)
+            left = ast.Binary(token.line, op=token.text, left=left, right=right)
 
     def _parse_unary(self) -> ast.Expr:
         token = self._cur
@@ -319,13 +321,17 @@ class Parser:
     def _parse_postfix(self) -> ast.Expr:
         expr = self._parse_primary()
         while True:
-            if self._accept_op("["):
+            token = self._tokens[self._pos]
+            if token.kind is not TokenKind.OP:
+                return expr
+            if token.text == "[":
+                self._advance()
                 index = self._parse_expression()
                 self._expect_op("]")
                 expr = ast.Index(self._cur.line, base=expr, index=index)
-            elif self._check_op("++") or self._check_op("--"):
-                op_token = self._advance()
-                expr = ast.IncDec(op_token.line, op=op_token.text, prefix=False, target=expr)
+            elif token.text in ("++", "--"):
+                self._advance()
+                expr = ast.IncDec(token.line, op=token.text, prefix=False, target=expr)
             else:
                 return expr
 

@@ -90,16 +90,21 @@ def live_ranges(instrs: list[ir.Instr]) -> list[LiveRange]:
             target = instr.target
         if target is not None and label_pos.get(target, pos + 1) <= pos:
             back_edges.append((label_pos[target], pos))
+    # the fixpoint runs over parallel lists: no temp is hashed in the loop
+    temps = list(start)
+    starts = [start[temp] for temp in temps]
+    ends = [end[temp] for temp in temps]
     changed = True
     while changed:
         changed = False
         for head, tail in back_edges:
-            for temp in start:
-                if start[temp] <= tail and end[temp] >= head and end[temp] < tail:
-                    end[temp] = tail
+            for k, first in enumerate(starts):
+                last = ends[k]
+                if first <= tail and head <= last < tail:
+                    ends[k] = tail
                     changed = True
 
-    ranges = [LiveRange(temp, start[temp], end[temp]) for temp in start]
+    ranges = [LiveRange(*item) for item in zip(temps, starts, ends)]
     ranges.sort(key=lambda r: (r.start, r.end))
     return ranges
 

@@ -18,11 +18,13 @@ Lowering decisions, in the spirit of the paper's own (simple) C compiler:
 
 from __future__ import annotations
 
+from repro.asm.assembler import REGISTERS as R, Assembler, immediate, memory, symbol
+from repro.asm.core import render
 from repro.cc import ir
-from repro.cc.codegen import FunctionCodegen, ModuleCodegen
+from repro.cc.codegen import FunctionCodegen, ModuleCodegen, runtime_routine
 from repro.cc.errors import CompileError
 from repro.cc.regalloc import allocate
-from repro.cc.runtime import runtime_text
+from repro.cc.runtime import ROUTINES, needed_routines
 from repro.cc.sema import VarInfo
 from repro.isa.encoding import S2_MAX, S2_MIN
 
@@ -43,7 +45,6 @@ _REL_COND = {"==": "eq", "!=": "ne", "<": "lt", "<=": "le", ">": "gt", ">=": "ge
 
 _LOAD_MNEMONIC = {(4, False): "ldl", (4, True): "ldl", (2, False): "ldsu", (2, True): "ldss", (1, False): "ldbu", (1, True): "ldbs"}
 _STORE_MNEMONIC = {4: "stl", 2: "sts", 1: "stb"}
-
 
 def _fits(value: int) -> bool:
     return S2_MIN <= value <= S2_MAX
@@ -103,73 +104,72 @@ class _FunctionCodegen(FunctionCodegen):
 
     # -- operand access -----------------------------------------------------------
 
-    def value_reg(self, op: ir.Operand, scratch: str) -> str:
+    def value_reg(self, op: ir.Operand, scratch):
         """Return a register holding ``op``'s value, emitting code if needed."""
         if isinstance(op, ir.Temp):
             if op in self.alloc.registers:
-                return f"r{self.alloc.registers[op]}"
+                return R[self.alloc.registers[op]]
             slot = self.spill_base + 4 * self.alloc.spills[op]
-            self.emit(f"ldl {scratch}, {slot}(r1)")
+            self.emit("ldl", scratch, memory(1, slot))
             return scratch
         if isinstance(op, int):
             if op == 0:
-                return "r0"
-            if _fits(op):
-                self.emit(f"add {scratch}, r0, #{op}")
-            else:
-                self.emit(f"set {scratch}, #{op}")
+                return R[0]
+            self.emit(*self._constant(scratch, op))
             return scratch
         # VarInfo
         if op in self.var_reg:
-            return f"r{self.var_reg[op]}"
+            return R[self.var_reg[op]]
         if op in self.var_slot:
-            self.emit(f"ldl {scratch}, {self.var_slot[op]}(r1)")
+            self.emit("ldl", scratch, memory(1, self.var_slot[op]))
             return scratch
         # global scalar
-        self.emit(f"set {scratch}, {op.name}")
-        self.emit(f"ldl {scratch}, 0({scratch})")
+        self.emit("set", scratch, symbol(op.name))
+        self.emit("ldl", scratch, memory(scratch.reg, 0))
         return scratch
 
-    def dest_reg(self, dst: ir.Temp) -> str:
+    @staticmethod
+    def _constant(target, value: int) -> tuple:
+        """The instruction that puts a constant in register ``target``."""
+        if _fits(value):
+            return "add", target, R[0], immediate(value)
+        return "set", target, immediate(value)
+
+    def dest_reg(self, dst: ir.Temp):
         """Register the result of ``dst`` should be computed into."""
         if dst in self.alloc.registers:
-            return f"r{self.alloc.registers[dst]}"
-        return "r9"
+            return R[self.alloc.registers[dst]]
+        return R[9]
 
-    def commit(self, dst: ir.Temp, reg: str) -> None:
+    def commit(self, dst: ir.Temp, reg) -> None:
         """Store a spilled temp's value from its staging register."""
         if dst in self.alloc.spills:
             slot = self.spill_base + 4 * self.alloc.spills[dst]
-            self.emit(f"stl {reg}, {slot}(r1)")
+            self.emit("stl", reg, memory(1, slot))
 
-    def move_to(self, target: str, op: ir.Operand) -> None:
+    def move_to(self, target, op: ir.Operand) -> None:
         """Materialize ``op``'s value directly into register ``target``."""
         if isinstance(op, int):
-            if op == 0:
-                self.emit(f"add {target}, r0, #0")
-            elif _fits(op):
-                self.emit(f"add {target}, r0, #{op}")
-            else:
-                self.emit(f"set {target}, #{op}")
+            self.emit(*self._constant(target, op))
             return
-        source = self.value_reg(op, scratch=target if target not in ("r1",) else "r9")
-        if source != target:
-            self.emit(f"add {target}, {source}, #0")
+        source = self.value_reg(op, scratch=target if target is not R[1] else R[9])
+        if source is not target:
+            self.emit("add", target, source, immediate(0))
 
-    def _s2_operand(self, op: ir.Operand, scratch: str) -> str:
-        """Second ALU operand: immediate text if it fits, else a register."""
+    def _s2_operand(self, op: ir.Operand, scratch):
+        """Second ALU operand: an immediate if it fits, else a register."""
         if isinstance(op, int) and _fits(op):
-            return f"#{op}"
+            return immediate(op)
         return self.value_reg(op, scratch)
 
     # -- instruction emission ----------------------------------------------------
 
     def _prologue(self) -> None:
         if self.frame_size:
-            self.emit(f"add r1, r1, #-{self.frame_size}")
+            self.emit("add", R[1], R[1], immediate(-self.frame_size))
         for i, param in enumerate(self.func.params):
             if param in self.var_slot:
-                self.emit(f"stl r{26 + i}, {self.var_slot[param]}(r1)")
+                self.emit("stl", R[26 + i], memory(1, self.var_slot[param]))
 
     def _gen_const(self, instr: ir.Const) -> None:
         self._copy(instr.dst, instr.value)
@@ -186,43 +186,41 @@ class _FunctionCodegen(FunctionCodegen):
         self.commit(dst, reg)
 
     def _gen_jump(self, instr: ir.Jump) -> None:
-        self.emit(f"jmp {instr.target}")
+        self.emit("jmp", symbol(instr.target))
         self.emit("nop")
 
     def _gen_setvar(self, instr: ir.SetVar) -> None:
         var = instr.var
         if var in self.var_reg:
-            self.move_to(f"r{self.var_reg[var]}", instr.src)
+            self.move_to(R[self.var_reg[var]], instr.src)
             return
-        value = self.value_reg(instr.src, "r9")
+        value = self.value_reg(instr.src, R[9])
         if var in self.var_slot:
-            self.emit(f"stl {value}, {self.var_slot[var]}(r1)")
+            self.emit("stl", value, memory(1, self.var_slot[var]))
             return
-        self.emit(f"set r8, {var.name}")
-        self.emit(f"stl {value}, 0(r8)")
+        self.emit("set", R[8], symbol(var.name))
+        self.emit("stl", value, memory(8, 0))
 
     def _gen_addrvar(self, instr: ir.AddrVar) -> None:
         reg = self.dest_reg(instr.dst)
         var = instr.var
         if var in self.var_slot:
-            self.emit(f"add {reg}, r1, #{self.var_slot[var]}")
+            self.emit("add", reg, R[1], immediate(self.var_slot[var]))
         elif var.is_global:
-            self.emit(f"set {reg}, {var.name}")
+            self.emit("set", reg, symbol(var.name))
         else:
             raise CompileError(f"riscgen: address of register variable {var.name!r}")
         self.commit(instr.dst, reg)
 
     def _gen_unop(self, instr: ir.UnOp) -> None:
         reg = self.dest_reg(instr.dst)
+        src = self.value_reg(instr.src, R[8])
         if instr.op == "lnot":
-            src = self.value_reg(instr.src, "r8")
-            self._emit_setcc_pattern(reg, "eq", src, "#0")
-        else:
-            src = self.value_reg(instr.src, "r8")
-            if instr.op == "neg":
-                self.emit(f"subr {reg}, {src}, #0")
-            else:  # bnot
-                self.emit(f"xor {reg}, {src}, #-1")
+            self._emit_setcc_pattern(reg, "eq", src, immediate(0))
+        elif instr.op == "neg":
+            self.emit("subr", reg, src, immediate(0))
+        else:  # bnot
+            self.emit("xor", reg, src, immediate(-1))
         self.commit(instr.dst, reg)
 
     def _gen_binop(self, instr: ir.BinOp) -> None:
@@ -233,37 +231,37 @@ class _FunctionCodegen(FunctionCodegen):
         a, b, op = instr.a, instr.b, instr.op
         if isinstance(a, int) and op == "-":
             # imm - reg: use the reverse-subtract instruction
-            b_reg = self.value_reg(b, "r8")
+            b_reg = self.value_reg(b, R[8])
             if _fits(a):
-                self.emit(f"subr {reg}, {b_reg}, #{a}")
+                self.emit("subr", reg, b_reg, immediate(a))
             else:
-                a_reg = self.value_reg(a, "r9")
-                self.emit(f"sub {reg}, {a_reg}, {b_reg}")
+                a_reg = self.value_reg(a, R[9])
+                self.emit("sub", reg, a_reg, b_reg)
             self.commit(instr.dst, reg)
             return
         if isinstance(a, int) and op in ("+", "&", "|", "^"):
             a, b = b, a  # commutative: put the constant second
-        a_reg = self.value_reg(a, "r8")
-        s2 = self._s2_operand(b, "r9")
-        self.emit(f"{_BINOP_MNEMONIC[op]} {reg}, {a_reg}, {s2}")
+        a_reg = self.value_reg(a, R[8])
+        s2 = self._s2_operand(b, R[9])
+        self.emit(_BINOP_MNEMONIC[op], reg, a_reg, s2)
         self.commit(instr.dst, reg)
 
     def _gen_runtime_binop(self, instr: ir.BinOp) -> None:
         name = _RUNTIME_BINOP[instr.op]
         self.used_runtime.add(name)
-        self.move_to("r10", instr.a)
-        self.move_to("r11", instr.b)
-        self.emit(f"call {name}")
+        self.move_to(R[10], instr.a)
+        self.move_to(R[11], instr.b)
+        self.emit("call", symbol(name))
         self.emit("nop")
         self._take_result(instr.dst)
 
-    def _emit_setcc_pattern(self, reg: str, cond: str, a_reg: str, s2: str) -> None:
+    def _emit_setcc_pattern(self, reg, cond: str, a_reg, s2) -> None:
         done = self._local_label("scc")
-        self.emit(f"sub! r0, {a_reg}, {s2}")
-        self.emit(f"add {reg}, r0, #1")
-        self.emit(f"j{cond} {done}")
+        self.emit("sub!", R[0], a_reg, s2)
+        self.emit("add", reg, R[0], immediate(1))
+        self.emit(f"j{cond}", symbol(done))
         self.emit("nop")
-        self.emit(f"add {reg}, r0, #0")
+        self.emit("add", reg, R[0], immediate(0))
         self.emit_label(done)
 
     def _gen_setcmp(self, instr: ir.SetCmp) -> None:
@@ -271,8 +269,8 @@ class _FunctionCodegen(FunctionCodegen):
         op, a, b = instr.op, instr.a, instr.b
         if isinstance(a, int) and not isinstance(b, int):
             op, a, b = ir.SWAP_REL[op], b, a
-        a_reg = self.value_reg(a, "r8")
-        s2 = self._s2_operand(b, "r9")
+        a_reg = self.value_reg(a, R[8])
+        s2 = self._s2_operand(b, R[9])
         self._emit_setcc_pattern(reg, _REL_COND[op], a_reg, s2)
         self.commit(instr.dst, reg)
 
@@ -280,49 +278,46 @@ class _FunctionCodegen(FunctionCodegen):
         op, a, b = instr.op, instr.a, instr.b
         if isinstance(a, int) and not isinstance(b, int):
             op, a, b = ir.SWAP_REL[op], b, a
-        a_reg = self.value_reg(a, "r8")
-        s2 = self._s2_operand(b, "r9")
-        self.emit(f"sub! r0, {a_reg}, {s2}")
-        self.emit(f"j{_REL_COND[op]} {instr.target}")
+        a_reg = self.value_reg(a, R[8])
+        s2 = self._s2_operand(b, R[9])
+        self.emit("sub!", R[0], a_reg, s2)
+        self.emit(f"j{_REL_COND[op]}", symbol(instr.target))
         self.emit("nop")
 
     def _gen_load(self, instr: ir.Load) -> None:
         reg = self.dest_reg(instr.dst)
-        base, offset = self._address(instr.addr, instr.offset)
-        mnemonic = _LOAD_MNEMONIC[(instr.width, instr.signed)]
-        self.emit(f"{mnemonic} {reg}, {offset}({base})")
+        address = self._address(instr.addr, instr.offset)
+        self.emit(_LOAD_MNEMONIC[(instr.width, instr.signed)], reg, address)
         self.commit(instr.dst, reg)
 
     def _gen_store(self, instr: ir.Store) -> None:
         # address first: materializing a large offset may use r9, which is
         # also the value's staging register
-        base, offset = self._address(instr.addr, instr.offset)
-        value = self.value_reg(instr.src, "r9")
-        self.emit(f"{_STORE_MNEMONIC[instr.width]} {value}, {offset}({base})")
+        address = self._address(instr.addr, instr.offset)
+        value = self.value_reg(instr.src, R[9])
+        self.emit(_STORE_MNEMONIC[instr.width], value, address)
 
-    def _address(self, addr: ir.Operand, offset: int) -> tuple[str, int]:
-        """Reduce (addr operand, byte offset) to a (base register, offset)."""
+    def _address(self, addr: ir.Operand, offset: int):
+        """Reduce (addr operand, byte offset) to an ``offset(rB)`` operand."""
         if isinstance(addr, int):
             total = addr + offset
             if _fits(total):
-                return "r0", total
-            self.emit(f"set r8, #{total}")
-            return "r8", 0
-        base = self.value_reg(addr, "r8")
+                return memory(0, total)
+            self.emit("set", R[8], immediate(total))
+            return memory(8, 0)
+        base = self.value_reg(addr, R[8])
         if _fits(offset):
-            return base, offset
-        self.emit(f"set r9, #{offset}")
-        self.emit(f"add r8, {base}, r9")
-        return "r8", 0
+            return memory(base.reg, offset)
+        self.emit("set", R[9], immediate(offset))
+        self.emit("add", R[8], base, R[9])
+        return memory(8, 0)
 
     def _gen_call(self, instr: ir.Call) -> None:
         if instr.name == "putchar":
-            reg = self.value_reg(instr.args[0], "r9")
-            self.emit(f"putc {reg}")
+            self.emit("putc", self.value_reg(instr.args[0], R[9]))
             return
         if instr.name == "putint":
-            reg = self.value_reg(instr.args[0], "r9")
-            self.emit(f"puti {reg}")
+            self.emit("puti", self.value_reg(instr.args[0], R[9]))
             return
         name = "__puts" if instr.name == "puts" else instr.name
         if name.startswith("__"):
@@ -333,8 +328,8 @@ class _FunctionCodegen(FunctionCodegen):
                 "supported by the RISC I register-window convention"
             )
         for i, arg in enumerate(instr.args):
-            self.move_to(f"r{10 + i}", arg)
-        self.emit(f"call {name}")
+            self.move_to(R[10 + i], arg)
+        self.emit("call", symbol(name))
         self.emit("nop")
         if instr.dst is not None:
             self._take_result(instr.dst)
@@ -342,33 +337,38 @@ class _FunctionCodegen(FunctionCodegen):
     def _take_result(self, dst: ir.Temp) -> None:
         """Move a call's result out of r10 into ``dst``."""
         reg = self.dest_reg(dst)
-        if reg != "r10":
-            self.emit(f"add {reg}, r10, #0")
+        if reg is not R[10]:
+            self.emit("add", reg, R[10], immediate(0))
         self.commit(dst, reg)
 
     def _gen_ret(self, instr: ir.Ret) -> None:
         if instr.src is not None:
-            self.move_to("r26", instr.src)
+            self.move_to(R[26], instr.src)
         self.emit("ret")
         if self.frame_size:
-            self.emit(f"add r1, r1, #{self.frame_size}")  # window-safe delay slot
+            # window-safe delay slot
+            self.emit("add", R[1], R[1], immediate(self.frame_size))
         else:
             self.emit("nop")
 
 
 class RiscCodegen(ModuleCodegen):
-    """Generates a complete RISC I assembly module from an IR program."""
+    """Generates a complete RISC I module from an IR program."""
 
     BACKEND = "RISC I backend"
     ENTRY = "_start"
-    START = ("call main", "nop", "halt r10")
+    START = (("call", symbol("main")), ("nop",), ("halt", R[10]))
     WORD = ".word"
     FUNCTION = _FunctionCodegen
 
-    def runtime(self) -> str:
-        return runtime_text(self.used_runtime)
+    def runtime(self):
+        return [
+            stmt
+            for name in needed_routines(self.used_runtime)
+            for stmt in runtime_routine(Assembler, ROUTINES[name][0])
+        ]
 
 
 def generate_risc_assembly(program: ir.IRProgram) -> str:
     """IR program -> RISC I assembly text (before delay-slot optimization)."""
-    return RiscCodegen(program).generate()
+    return render(RiscCodegen(program).generate())

@@ -166,8 +166,8 @@ ROUTINES: dict[str, tuple[str, tuple[str, ...]]] = {
 }
 
 
-def runtime_text(used: set[str]) -> str:
-    """Assembly for the transitively required runtime routines."""
+def needed_routines(used: set[str]) -> list[str]:
+    """The transitively required runtime routines, in a stable order."""
     needed: set[str] = set()
     stack = [name for name in used if name in ROUTINES]
     while stack:
@@ -176,5 +176,4 @@ def runtime_text(used: set[str]) -> str:
             continue
         needed.add(name)
         stack.extend(ROUTINES[name][1])
-    # stable order for deterministic output
-    return "\n".join(ROUTINES[name][0] for name in sorted(needed))
+    return sorted(needed)

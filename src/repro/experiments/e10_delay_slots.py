@@ -15,7 +15,7 @@ the slot after each control transfer.  Two measurements per benchmark:
 from __future__ import annotations
 
 from repro.analysis.report import Table
-from repro.cc.driver import compile_program, run_compiled
+from repro.cc.driver import compile_ir, compile_to_ir, run_compiled
 from repro.experiments import common
 from repro.uarch import UarchConfig
 from repro.workloads import ALL_WORKLOADS, BENCHMARK_SUITE
@@ -37,8 +37,9 @@ def run(scale: str = "default") -> Table:
     base = UarchConfig()
     for name in BENCHMARK_SUITE:
         source = common.workload_source(name, scale)
-        optimized = compile_program(source, target="risc1", fill_delay_slots=True)
-        raw = compile_program(source, target="risc1", fill_delay_slots=False)
+        ir_program = compile_to_ir(source)
+        optimized = compile_ir(ir_program, "risc1", fill_delay_slots=True, source=source)
+        raw = compile_ir(ir_program, "risc1", fill_delay_slots=False, source=source)
         run_optimized = common.executed(name, "risc1", scale)
         # live re-runs under the pipeline probe: the farm result carries
         # no pipeline stats, and the raw compile must run anyway

@@ -35,7 +35,7 @@ import hashlib
 from typing import Any
 
 from repro.cc import irvm
-from repro.cc.driver import CompileError, compile_program, compile_to_ir, run_compiled
+from repro.cc.driver import CompileError, compile_ir, compile_to_ir, run_compiled
 from repro.core.api import StepLimitExceeded
 from repro.fuzz.gen import DEFAULT_PROFILE, generate_source
 from repro.machine.traps import Trap
@@ -295,14 +295,15 @@ def crosscheck_source(
     profile: str | None = None,
     max_steps: int = DEFAULT_MAX_STEPS,
 ) -> CrossCheckReport:
-    """Compile ``source`` once per target and cross-check all five oracles."""
+    """Compile ``source`` (one front end, both targets) and cross-check all
+    five oracles."""
     report = CrossCheckReport(
         source_sha=_sha(source), seed=seed, profile=profile, max_steps=max_steps
     )
     try:
         ir_program = compile_to_ir(source)
-        risc = compile_program(source, target="risc1")
-        vax = compile_program(source, target="cisc")
+        risc = compile_ir(ir_program, "risc1", source=source)
+        vax = compile_ir(ir_program, "cisc", source=source)
     except CompileError as exc:
         report.status = "compile-error"
         report.compile_error = str(exc)

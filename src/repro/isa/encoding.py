@@ -104,31 +104,45 @@ class Instruction:
 
     def validate(self) -> None:
         """Raise :class:`EncodingError` if any field is out of range."""
-        info = opcode_info(self.opcode)
-        _check_range("dest", self.dest, 0, 31)
-        if info.format is Format.LONG:
-            _check_range("y", self.y, Y_MIN, Y_MAX)
-            return
-        _check_range("rs1", self.rs1, 0, 31)
-        if self.imm:
-            _check_range("s2", self.s2, S2_MIN, S2_MAX)
-        else:
-            _check_range("s2 (register)", self.s2, 0, 31)
+        _check_fields(self.opcode, self.dest, self.rs1, self.s2, self.imm, self.y)
+
+
+def _check_fields(opcode: Opcode, dest: int, rs1: int, s2: int, imm: bool, y: int) -> Format:
+    """Check every field against the opcode's format; return the format."""
+    fmt = opcode_info(opcode).format
+    _check_range("dest", dest, 0, 31)
+    if fmt is Format.LONG:
+        _check_range("y", y, Y_MIN, Y_MAX)
+        return fmt
+    _check_range("rs1", rs1, 0, 31)
+    if imm:
+        _check_range("s2", s2, S2_MIN, S2_MAX)
+    else:
+        _check_range("s2 (register)", s2, 0, 31)
+    return fmt
+
+
+def encode_fields(
+    opcode: Opcode,
+    dest: int = 0,
+    rs1: int = 0,
+    s2: int = 0,
+    imm: bool = False,
+    y: int = 0,
+    scc: bool = False,
+) -> int:
+    """Validate an instruction given by its fields and encode it into its
+    32-bit binary word (the fields of :class:`Instruction`)."""
+    fmt = _check_fields(opcode, dest, rs1, s2, imm, y)
+    word = (int(opcode) & 0x7F) << 25 | (1 if scc else 0) << 24 | (dest & 0x1F) << 19
+    if fmt is Format.LONG:
+        return word | y & ((1 << Y_BITS) - 1)
+    return word | (rs1 & 0x1F) << 14 | (1 if imm else 0) << 13 | s2 & ((1 << S2_BITS) - 1)
 
 
 def encode(inst: Instruction) -> int:
-    """Encode an instruction into its 32-bit binary word."""
-    inst.validate()
-    word = (int(inst.opcode) & 0x7F) << 25
-    word |= (1 if inst.scc else 0) << 24
-    word |= (inst.dest & 0x1F) << 19
-    if inst.format is Format.LONG:
-        word |= inst.y & ((1 << Y_BITS) - 1)
-    else:
-        word |= (inst.rs1 & 0x1F) << 14
-        word |= (1 if inst.imm else 0) << 13
-        word |= inst.s2 & ((1 << S2_BITS) - 1)
-    return word
+    """Validate an instruction and encode it into its 32-bit binary word."""
+    return encode_fields(inst.opcode, inst.dest, inst.rs1, inst.s2, inst.imm, inst.y, inst.scc)
 
 
 def _sign_extend(value: int, bits: int) -> int:

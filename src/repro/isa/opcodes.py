@@ -299,6 +299,8 @@ _BY_MNEMONIC: dict[str, OpcodeInfo] = {
 
 def opcode_info(key: "Opcode | str | int") -> OpcodeInfo:
     """Look up instruction metadata by :class:`Opcode`, mnemonic or number."""
+    if isinstance(key, Opcode):
+        return _BY_OPCODE[key]
     if isinstance(key, str):
         try:
             return _BY_MNEMONIC[key.lower()]

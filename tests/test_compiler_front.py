@@ -43,6 +43,12 @@ class TestLexer:
         idents = [t.text for t in tokens if t.kind is TokenKind.IDENT]
         assert idents == ["a", "b"]
 
+    def test_hex_literal_without_digits(self):
+        with pytest.raises(CompileError) as info:
+            compile_to_ir("int main(){return 0x;}")
+        assert info.value.line == 1
+        assert "hex literal '0x' has no digits" in str(info.value)
+
     def test_maximal_munch(self):
         tokens = tokenize("a<<=b")
         assert tokens[1].text == "<<="

@@ -3,7 +3,15 @@
 import pytest
 
 from repro.asm import assemble
-from repro.cc.driver import compile_program, compile_to_assembly, run_compiled
+from repro.cc.driver import (
+    compile_ir,
+    compile_program,
+    compile_to_assembly,
+    compile_to_ir,
+    run_compiled,
+)
+from repro.obs.record import program_to_dict
+from repro.workloads import ALL_WORKLOADS, BENCHMARK_SUITE
 from repro.cc.errors import CompileError
 from repro.core import CPU
 from repro.machine.regfile import RegisterFile
@@ -60,6 +68,35 @@ class TestDriver:
     def test_compiled_program_exposes_ir(self):
         compiled = compile_program("int main() { return 0; }")
         assert compiled.ir.function("main")
+
+    @pytest.mark.parametrize("name", BENCHMARK_SUITE)
+    def test_one_front_end_lowers_for_both_targets(self, name):
+        # the code generators only read the IR: one compile_to_ir serves
+        # both targets and both delay-slot settings
+        source = ALL_WORKLOADS[name].source()
+        ir_program = compile_to_ir(source)
+        for target, fill in (("risc1", True), ("cisc", True), ("risc1", False)):
+            shared = compile_ir(ir_program, target, fill_delay_slots=fill, source=source)
+            alone = compile_program(source, target, fill_delay_slots=fill)
+            assert shared.assembly == alone.assembly
+            assert program_to_dict(shared.program) == program_to_dict(alone.program)
+            assert shared.delay_stats == alone.delay_stats
+            assert shared.source == source
+
+    def test_runtime_routines_are_fresh_per_compile(self):
+        # the delay-slot filler moves runtime instructions (e.g. into
+        # __udivmod's return slot); the parsed routines must not keep that
+        source = "int main() { int a = 7; putint(a * 6 / 4 % 5); puts(\"x\"); return 0; }"
+        for target in ("risc1", "cisc"):
+            first = compile_program(source, target)
+            second = compile_program(source, target)
+            assert first.assembly == second.assembly
+            assert first.program.segments == second.program.segments
+            assert run_compiled(second).output == "0x"
+
+    def test_compile_ir_rejects_unknown_target(self):
+        with pytest.raises(CompileError, match="unknown target"):
+            compile_ir(compile_to_ir("int main() { return 0; }"), "mips")
 
 
 class TestSpillBatching:

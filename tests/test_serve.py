@@ -204,6 +204,18 @@ class TestInlineSource:
         assert "Traceback" not in json.dumps(body)
         assert srv.counters["server_errors"] == 0
 
+    def test_hex_literal_without_digits_is_structured_400(self, server):
+        # once a ValueError out of the lexer, answered with a 500
+        srv, base, _ = server
+        code, body = _request(
+            base, "POST", "/jobs",
+            {"workload": "fuzz-hex", "source": "int main(){return 0x;}"},
+        )
+        assert code == 400
+        assert body["error"]["field"] == "source"
+        assert "hex literal" in body["error"]["message"]
+        assert srv.counters["server_errors"] == 0
+
     def test_uncompilable_source_mid_batch_is_400_not_500(self, server):
         # a fuzz campaign POSTing a batch where one program fails RCC:
         # the whole POST must answer a structured 400, never a 500/hang
