@@ -16,6 +16,7 @@ from repro.baselines.vax.isa import (
     AP,
     BRANCH_CONDITIONS,
     BY_OPCODE,
+    DISP_SIZES,
     FP,
     Mode,
     SP,
@@ -123,24 +124,18 @@ class VaxCPU(MachineShell):
         self.n = self.z = self.v = self.c = False
         self._depth = 1
         self._stack_top = memory_size - 16
-        #: pc -> (info, length, cycles, operand evaluators, branch_disp):
-        #: the parse of one instruction, reusable because specifier bytes
-        #: are immutable until something writes over them (watched below).
-        #: Operand *values* are not cached — the evaluators re-read
-        #: registers and apply autoincrement/autodecrement per execution.
-        self._decode_cache: dict = {}
-        self._use_cache = True
         #: Optional per-instruction hook ``fn(pc, info, operands,
         #: branch_disp)``, fired after operand evaluation and before
-        #: execution — identically on both engine paths (there is one
-        #: step loop).  The pipeline timing model hangs off this.
+        #: execution, with ``pc`` at the fall-through — identically on
+        #: both engines.  The pipeline timing model hangs off this.
         self.on_execute = None
-        self._cache_lo = memory_size  # lowest cached instruction byte
-        self._cache_hi = 0  # one past the highest cached byte
-        self.memory.write_watch = self._note_code_write
+        #: the translating engine (:mod:`repro.baselines.vax.engine`),
+        #: built by the first fast run after a load or restore
+        self._engine = None
 
     def load(self, program: Program) -> None:
         super().load(program)
+        self._drop_translations()
         self.regs[SP] = self._stack_top
         self.regs[FP] = self._stack_top
         self.regs[AP] = self._stack_top
@@ -148,59 +143,51 @@ class VaxCPU(MachineShell):
     # -- execution --------------------------------------------------------------
 
     def _run_steps(self, limit: int, engine: str) -> None:
-        """``"fast"`` replays the per-PC operand decode cache,
-        ``"reference"`` re-parses every instruction."""
-        self._use_cache = engine == "fast"
-        try:
+        """``"fast"`` is the translating engine of
+        :mod:`repro.baselines.vax.engine`; ``"reference"`` the plain
+        ``step()`` loop."""
+        if engine == "fast" and self._program is not None:
+            if self._engine is None:
+                from repro.baselines.vax.engine import VaxEngine
+
+                self._engine = VaxEngine(self)
+            try:
+                self._engine.run(limit)
+            except BaseException:
+                # the run ended in a halt or a trap: the translations go,
+                # and with them the reference cycles through this machine,
+                # so it is freed as soon as it is dropped
+                self._drop_translations()
+                raise
+        else:
             for _ in range(limit):
                 self.step()
-        finally:
-            self._use_cache = True
+
+    def _drop_translations(self) -> None:
+        if self._engine is not None:
+            self._engine.close()
+            self._engine = None
 
     def step(self) -> None:
         pc = self.pc
-        entry = self._decode_cache.get(pc) if self._use_cache else None
-        if entry is not None:
-            info, length, cycles, evaluators, branch_disp = entry
-            self.pc = pc + length
-            self.stats.inst_bytes += length
-            # specifier side effects (autoincrement/autodecrement) and
-            # register-relative addresses are applied per execution, in
-            # specifier order, exactly as a fresh parse would
-            operands = [evaluate() for evaluate in evaluators]
-        else:
+        try:
             opcode = self._fetch(1)
             info = BY_OPCODE.get(opcode)
             if info is None:
-                raise Trap(
-                    TrapKind.ILLEGAL_INSTRUCTION, f"opcode {opcode:#04x}", pc=self.pc
-                )
+                raise Trap(TrapKind.ILLEGAL_INSTRUCTION, f"opcode {opcode:#04x}")
             cycles = self.timing.base_cycles[info.kind]
             operands = []
-            evaluators = []
             branch_disp: int | None = None
             for spec in info.operands:
                 if spec.access == "b":
                     branch_disp = _signed(self._fetch(2), 16)
                 else:
-                    evaluate, mode_family = self._predecode_operand(spec.width)
-                    cycles += self.timing.specifier_cycles[mode_family]
-                    evaluators.append(evaluate)
-                    # evaluated here, mid-parse, so side effects land at
-                    # the same point as the historical eager decoder
-                    operands.append(evaluate())
-            if self._use_cache:
-                self._decode_cache[pc] = (
-                    info,
-                    self.pc - pc,
-                    cycles,
-                    tuple(evaluators),
-                    branch_disp,
-                )
-                if pc < self._cache_lo:
-                    self._cache_lo = pc
-                if self.pc > self._cache_hi:
-                    self._cache_hi = self.pc
+                    operand, family = self._operand(spec.width)
+                    cycles += self.timing.specifier_cycles[family]
+                    operands.append(operand)
+        except Trap as trap:
+            trap.pc = pc
+            raise
         if self.on_execute is not None:
             self.on_execute(pc, info, operands, branch_disp)
         reads_before = self.memory.stats.data_reads
@@ -208,6 +195,7 @@ class VaxCPU(MachineShell):
         try:
             self._execute(info, operands, branch_disp)
         except Trap as trap:
+            trap.pc = pc
             if self._trace_trap:
                 self.tracer.trap(self.stats.cycles, pc, trap.kind.name, trap.detail)
             raise
@@ -227,8 +215,8 @@ class VaxCPU(MachineShell):
 
     # -- snapshot / restore ------------------------------------------------------
 
-    # The operand decode cache is *not* state — it is rebuilt on demand and
-    # cleared on restore (the restored memory may hold different bytes).
+    # Translations are *not* state — they are rebuilt on demand and dropped
+    # on restore (the restored memory may hold different bytes).
 
     def _snapshot_state(self) -> dict:
         return {
@@ -241,9 +229,7 @@ class VaxCPU(MachineShell):
         self._depth = state["depth"]
         self.regs[:] = state["regs"]
         self.n, self.z, self.v, self.c = state["flags"]
-        self._decode_cache.clear()
-        self._cache_lo = self.memory.size
-        self._cache_hi = 0
+        self._drop_translations()
 
     # -- instruction stream ------------------------------------------------------
 
@@ -253,67 +239,39 @@ class VaxCPU(MachineShell):
         self.stats.inst_bytes += width
         return value
 
-    def _predecode_operand(self, width: int):
-        """Parse one operand specifier into a reusable evaluator.
+    def _operand(self, width: int) -> tuple[_Operand, str]:
+        """Fetch one operand specifier and evaluate it.
 
-        Returns ``(evaluate, mode_family)``.  The evaluator produces this
-        specifier's :class:`_Operand` for one execution; modes whose value
-        depends on register state (deferred, displacement, autoincrement,
-        autodecrement) re-read — and for the auto modes, re-modify — the
-        register each time, so replaying a cached parse is
-        indistinguishable from a fresh one.  Static modes (literal,
-        register, immediate, absolute) share one read-only operand.
+        Returns the operand and its addressing-mode family (for the
+        timing model).  Autoincrement and autodecrement modify their
+        register here, mid-parse, in specifier order.
         """
         regs = self.regs
         spec = self._fetch(1)
         if spec < 0x40:
-            operand = _Operand("imm", spec)
-            return (lambda: operand), "literal"
+            return _Operand("imm", spec), "literal"
         mode = spec >> 4
         reg = spec & 0xF
         if mode == Mode.REGISTER:
-            operand = _Operand("reg", reg)
-            return (lambda: operand), "register"
+            return _Operand("reg", reg), "register"
         if mode == Mode.DEFERRED:
-            return (lambda: _Operand("mem", regs[reg])), "deferred"
+            return _Operand("mem", regs[reg]), "deferred"
         if mode == Mode.AUTODEC:
-            def evaluate():
-                regs[reg] = (regs[reg] - width) & WORD
-                return _Operand("mem", regs[reg])
-
-            return evaluate, "autodec"
+            regs[reg] = (regs[reg] - width) & WORD
+            return _Operand("mem", regs[reg]), "autodec"
         if mode == Mode.AUTOINC:
             if reg == 15:  # immediate
-                operand = _Operand("imm", self._fetch(width))
-                return (lambda: operand), "immediate"
-
-            def evaluate():
-                address = regs[reg]
-                regs[reg] = (address + width) & WORD
-                return _Operand("mem", address)
-
-            return evaluate, "autoinc"
+                return _Operand("imm", self._fetch(width)), "immediate"
+            address = regs[reg]
+            regs[reg] = (address + width) & WORD
+            return _Operand("mem", address), "autoinc"
         if mode == Mode.ABSOLUTE and reg == 15:
-            operand = _Operand("mem", self._fetch(4))
-            return (lambda: operand), "absolute"
-        if mode in (Mode.DISP8, Mode.DISP16, Mode.DISP32):
-            size = {Mode.DISP8: 1, Mode.DISP16: 2, Mode.DISP32: 4}[Mode(mode)]
+            return _Operand("mem", self._fetch(4)), "absolute"
+        if mode in DISP_SIZES:
+            size = DISP_SIZES[mode]
             disp = _signed(self._fetch(size), size * 8)
-            return (lambda: _Operand("mem", (regs[reg] + disp) & WORD)), "disp"
-        raise Trap(TrapKind.ILLEGAL_INSTRUCTION, f"operand specifier {spec:#04x}", pc=self.pc)
-
-    def _note_code_write(self, address: int, width: int = 4) -> None:
-        """Drop cached decodings when a store may have touched one.
-
-        Stores land almost exclusively in stack/heap space far above the
-        code, so the common case is two comparisons; a hit (self-modifying
-        code) clears the whole cache rather than tracking per-instruction
-        extents.
-        """
-        if address < self._cache_hi and address + width > self._cache_lo:
-            self._decode_cache.clear()
-            self._cache_lo = self.memory.size
-            self._cache_hi = 0
+            return _Operand("mem", (regs[reg] + disp) & WORD), "disp"
+        raise Trap(TrapKind.ILLEGAL_INSTRUCTION, f"operand specifier {spec:#04x}")
 
     # -- operand access -----------------------------------------------------------
 
@@ -522,7 +480,7 @@ class VaxCPU(MachineShell):
     def _divide(self, divisor: int, dividend: int) -> int:
         divisor_s, dividend_s = _signed(divisor), _signed(dividend)
         if divisor_s == 0:
-            raise Trap(TrapKind.ILLEGAL_INSTRUCTION, "integer divide by zero", pc=self.pc)
+            raise Trap(TrapKind.ILLEGAL_INSTRUCTION, "integer divide by zero")
         return int(dividend_s / divisor_s)  # C truncation toward zero
 
     def _op_divl2(self, ops, info):

@@ -1,13 +1,14 @@
 """Disassembler for the VAX-like baseline.
 
-Walks the variable-length instruction stream, decoding operand specifiers
-exactly as the simulator does; used for debugging compiled CISC code and
-by the round-trip tests that pin the encoder and decoder together.
+Formats what :func:`repro.baselines.vax.isa.decode` parses — the same
+decoder the translating engine runs on; used for debugging compiled CISC
+code and by the round-trip tests that pin the encoder and decoder
+together.
 """
 
 from __future__ import annotations
 
-from repro.baselines.vax.isa import BY_OPCODE, Mode
+from repro.baselines.vax.isa import Specifier, decode
 from repro.core.program import Program
 
 _REG_NAMES = {12: "ap", 13: "fp", 14: "sp", 15: "pc"}
@@ -17,68 +18,42 @@ def _reg(number: int) -> str:
     return _REG_NAMES.get(number, f"r{number}")
 
 
-def _signed(value: int, bits: int) -> int:
-    mask = (1 << bits) - 1
-    value &= mask
-    return value - (1 << bits) if value & (1 << (bits - 1)) else value
-
-
-class _Stream:
-    def __init__(self, data: bytes, offset: int = 0):
-        self.data = data
-        self.pos = offset
-
-    def take(self, width: int) -> int:
-        value = int.from_bytes(self.data[self.pos : self.pos + width], "big")
-        self.pos += width
-        return value
-
-    @property
-    def exhausted(self) -> bool:
-        return self.pos >= len(self.data)
-
-
-def _operand_text(stream: _Stream, width: int) -> str:
-    spec = stream.take(1)
-    if spec < 0x40:
-        return f"#{spec}"
-    mode, reg = spec >> 4, spec & 0xF
-    if mode == Mode.REGISTER:
-        return _reg(reg)
-    if mode == Mode.DEFERRED:
-        return f"({_reg(reg)})"
-    if mode == Mode.AUTODEC:
-        return f"-({_reg(reg)})"
-    if mode == Mode.AUTOINC:
-        if reg == 15:
-            return f"#{_signed(stream.take(width), width * 8)}"
-        return f"({_reg(reg)})+"
-    if mode == Mode.ABSOLUTE and reg == 15:
-        return f"@#{stream.take(4):#x}"
-    if mode in (Mode.DISP8, Mode.DISP16, Mode.DISP32):
-        size = {Mode.DISP8: 1, Mode.DISP16: 2, Mode.DISP32: 4}[Mode(mode)]
-        disp = _signed(stream.take(size), size * 8)
-        return f"{disp}({_reg(reg)})"
-    return f"<bad specifier {spec:#04x}>"
+def _operand_text(spec: Specifier) -> str:
+    family, reg, value = spec.family, _reg(spec.reg), spec.value
+    if family == "literal":
+        return f"#{value}"
+    if family == "register":
+        return reg
+    if family == "deferred":
+        return f"({reg})"
+    if family == "autodec":
+        return f"-({reg})"
+    if family == "immediate":
+        bits = spec.width * 8
+        return f"#{value - (1 << bits) if value >> (bits - 1) & 1 else value}"
+    if family == "autoinc":
+        return f"({reg})+"
+    if family == "absolute":
+        return f"@#{value:#x}"
+    if family == "disp":
+        return f"{value}({reg})"
+    return f"<bad specifier {value:#04x}>"
 
 
 def disassemble_one(data: bytes, offset: int, address: int) -> tuple[str, int]:
     """Disassemble one instruction; return (text, bytes consumed)."""
-    stream = _Stream(data, offset)
-    opcode = stream.take(1)
-    info = BY_OPCODE.get(opcode)
-    if info is None:
-        return f".byte {opcode:#04x}", 1
-    operands: list[str] = []
-    for spec in info.operands:
-        if spec.access == "b":
-            disp = _signed(stream.take(2), 16)
-            target = address + (stream.pos - offset) + disp
-            operands.append(f"{target:#x}")
-        else:
-            operands.append(_operand_text(stream, spec.width))
-    text = info.mnemonic + (" " + ", ".join(operands) if operands else "")
-    return text, stream.pos - offset
+    decoded = decode(data, offset)
+    if decoded is None:
+        return f".byte {int.from_bytes(data[offset : offset + 1], 'big'):#04x}", 1
+    operands = [
+        # a branch displacement is always an instruction's last operand
+        f"{address + decoded.length + spec.value:#x}"
+        if spec.family == "branch"
+        else _operand_text(spec)
+        for spec in decoded.operands
+    ]
+    text = decoded.info.mnemonic + (" " + ", ".join(operands) if operands else "")
+    return text, decoded.length
 
 
 def disassemble_vax_program(program: Program, skip_entry_masks: bool = True) -> str:

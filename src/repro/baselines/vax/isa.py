@@ -13,6 +13,11 @@ Each instruction lists its operands as ``(access, width)`` pairs:
 * ``a`` — address (effective address is the operand)
 * ``b`` — branch displacement (16-bit, a documented simplification of
   VAX's 8-bit conditional branches)
+
+:func:`decode` is the one byte-level parse of an instruction, shared by
+the translating engine (:mod:`repro.baselines.vax.engine`) and the
+disassembler.  The reference ``VaxCPU.step()`` keeps its own parse, so
+the engine differential tests compare two independent decoders.
 """
 
 from __future__ import annotations
@@ -131,3 +136,92 @@ BRANCH_CONDITIONS = {
     "bgtru": lambda n, z, v, c: not (c or z),
     "bgequ": lambda n, z, v, c: not c,
 }
+
+
+#: Bytes of displacement that follow a displacement-mode specifier.
+DISP_SIZES = {Mode.DISP8: 1, Mode.DISP16: 2, Mode.DISP32: 4}
+
+
+@dataclasses.dataclass(frozen=True)
+class Specifier:
+    """One decoded operand of an instruction.
+
+    ``family`` is the addressing mode as the timing model prices it (the
+    keys of ``VaxTiming.specifier_cycles``): ``literal``, ``immediate``,
+    ``register``, ``deferred``, ``autoinc``, ``autodec``, ``disp``,
+    ``absolute`` or ``branch`` — or ``bad`` for a specifier byte the
+    machine does not implement.  ``value`` is the literal or immediate
+    as encoded (unsigned), the absolute address, the signed
+    displacement (``disp`` and ``branch``) or the offending byte
+    (``bad``).
+    """
+
+    family: str
+    reg: int
+    value: int
+    access: str
+    width: int
+
+
+@dataclasses.dataclass(frozen=True)
+class Decoded:
+    """One parsed instruction: its definition, operands and byte length."""
+
+    info: VaxOpcodeInfo
+    operands: tuple[Specifier, ...]
+    length: int
+
+
+def decode(data: bytes | bytearray, offset: int) -> Decoded | None:
+    """Parse the instruction starting at ``data[offset]``.
+
+    Returns ``None`` for an unknown opcode.  A bad specifier byte
+    decodes as a one-byte ``bad`` operand and parsing goes on, so a
+    listing can show it; bytes missing past the end of ``data`` read as
+    a shorter field, and ``length`` then runs past the end — a caller
+    that executes must check both.
+    """
+    pos = offset
+
+    def take(width: int) -> int:
+        nonlocal pos
+        value = int.from_bytes(data[pos : pos + width], "big")
+        pos += width
+        return value
+
+    info = BY_OPCODE.get(take(1))
+    if info is None:
+        return None
+    operands = []
+    for spec in info.operands:
+        access, width = spec.access, spec.width
+        if access == "b":
+            disp = take(2)
+            disp = (disp & 0x7FFF) - (disp & 0x8000)
+            operands.append(Specifier("branch", 0, disp, access, width))
+            continue
+        byte = take(1)
+        mode, reg = byte >> 4, byte & 0xF
+        if byte < 0x40:
+            operand = Specifier("literal", 0, byte, access, width)
+        elif mode == Mode.REGISTER:
+            operand = Specifier("register", reg, 0, access, width)
+        elif mode == Mode.DEFERRED:
+            operand = Specifier("deferred", reg, 0, access, width)
+        elif mode == Mode.AUTODEC:
+            operand = Specifier("autodec", reg, 0, access, width)
+        elif mode == Mode.AUTOINC and reg == 15:
+            operand = Specifier("immediate", 0, take(width), access, width)
+        elif mode == Mode.AUTOINC:
+            operand = Specifier("autoinc", reg, 0, access, width)
+        elif mode == Mode.ABSOLUTE and reg == 15:
+            operand = Specifier("absolute", 0, take(4), access, width)
+        elif mode in DISP_SIZES:
+            size = DISP_SIZES[mode]
+            disp = take(size)
+            sign = 1 << (size * 8 - 1)
+            operand = Specifier("disp", reg, (disp & (sign - 1)) - (disp & sign), access, width)
+        else:
+            operand = Specifier("bad", 0, byte, access, width)
+        operands.append(operand)
+    return Decoded(info, tuple(operands), pos - offset)

@@ -17,11 +17,16 @@ from typing import Optional, Union
 from repro.cc.sema import VarInfo
 
 
-@dataclasses.dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True, slots=True)
 class Temp:
     """A virtual register."""
 
     id: int
+
+    def __hash__(self) -> int:
+        # the register allocator and both code generators key dicts by
+        # temps: hash the id itself, not a generated one-field tuple
+        return self.id
 
     def __repr__(self) -> str:
         return f"t{self.id}"

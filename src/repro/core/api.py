@@ -61,10 +61,11 @@ DEFAULT_MAX_STEPS = 200_000_000
 RESULT_SCHEMA_VERSION = 2
 
 #: Execution engines a machine's ``run()`` accepts.  ``"fast"`` is the
-#: predecoded path (:mod:`repro.core.engine` for RISC I, the operand
-#: decode cache for the VAX); ``"reference"`` is the plain ``step()``
-#: loop the fast path is differentially tested against.  Both produce
-#: bit-identical results, stats and event streams by contract.
+#: predecoded path (:mod:`repro.core.engine` for RISC I, the translating
+#: :mod:`repro.baselines.vax.engine` for the VAX); ``"reference"`` is the
+#: plain ``step()`` loop the fast path is differentially tested
+#: against.  Both produce bit-identical results, stats and event streams
+#: by contract.
 VALID_ENGINES = ("fast", "reference")
 
 #: Engine used when neither the call site nor ``$REPRO_ENGINE`` says.

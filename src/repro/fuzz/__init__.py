@@ -6,7 +6,8 @@ every execution oracle the repo has —
 
 * RISC I reference interpreter vs :class:`PredecodedEngine` (bit-identical
   contract: exit code, console, full architectural stats),
-* VAX with the per-PC decode cache off vs on (same contract),
+* VAX reference interpreter vs the translating
+  :class:`~repro.baselines.vax.engine.VaxEngine` (same contract),
 * RISC I vs VAX vs the IR interpreter (semantic contract: exit code and
   console output; the machines legitimately differ in stats).
 

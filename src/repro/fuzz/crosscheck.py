@@ -8,8 +8,8 @@ name      what it exercises
 ========  =========================================================
 risc-ref  RISC I plain ``step()`` interpreter (the semantics anchor)
 risc-fast RISC I :class:`~repro.core.engine.PredecodedEngine`
-vax-ref   VAX baseline with the per-PC operand decode cache OFF
-vax-fast  VAX baseline with the decode cache ON
+vax-ref   VAX baseline plain ``step()`` interpreter
+vax-fast  VAX baseline :class:`~repro.baselines.vax.engine.VaxEngine`
 ir        the IR-level interpreter (:mod:`repro.cc.irvm`)
 ========  =========================================================
 
@@ -53,7 +53,7 @@ ORACLES = ("risc-ref", "risc-fast", "vax-ref", "vax-fast", "ir")
 #: Same-machine pairs: full bit-identical contract.
 ENGINE_PAIRS = (
     ("risc-ref", "risc-fast", "risc1: reference vs predecoded engine"),
-    ("vax-ref", "vax-fast", "vax: decode cache off vs on"),
+    ("vax-ref", "vax-fast", "vax: reference vs translating engine"),
 )
 
 #: Cross-machine pairs: exit code + console only.

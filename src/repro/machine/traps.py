@@ -30,9 +30,13 @@ class Trap(Exception):
     def __init__(self, kind: TrapKind, detail: str = "", pc: int | None = None):
         self.kind = kind
         self.detail = detail
+        #: the faulting instruction's address; the step that catches a
+        #: trap raised below it (by memory, say) fills it in
         self.pc = pc
-        location = f" at pc={pc:#010x}" if pc is not None else ""
-        message = f"{kind.value}{location}"
-        if detail:
-            message = f"{message}: {detail}"
-        super().__init__(message)
+        super().__init__(str(self))
+
+    def __str__(self) -> str:
+        # built when printed, so it shows a PC filled in after raising
+        location = f" at pc={self.pc:#010x}" if self.pc is not None else ""
+        message = f"{self.kind.value}{location}"
+        return f"{message}: {self.detail}" if self.detail else message

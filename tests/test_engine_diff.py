@@ -2,23 +2,27 @@
 
 Every scenario here runs twice — once with ``engine="reference"`` (the
 plain ``step()`` loop) and once with ``engine="fast"`` (the predecoded
-RISC engine / the VAX operand decode cache) — and asserts that *all*
-observable state agrees: the run result, every stats field, the memory
-traffic counters, the final architectural state, and the complete tracer
-event stream (timestamps included).
+RISC engine of ``repro.core.engine`` / the translating VAX engine of
+``repro.baselines.vax.engine``) — and asserts that *all* observable
+state agrees: the run result, every stats field, the memory traffic
+counters, the final architectural state, and the complete tracer event
+stream (timestamps included).
 """
 
 import functools
+import hashlib
 
 import pytest
 
 from repro.asm.assembler import assemble
+from repro.baselines.vax.assembler import assemble_vax
 from repro.baselines.vax.cpu import VaxCPU
+from repro.baselines.vax.isa import INSTRUCTIONS
 from repro.cc.driver import compile_program
 from repro.core.api import StepLimitExceeded
 from repro.core.cpu import CPU
 from repro.isa.encoding import EncodingError
-from repro.machine.traps import Trap
+from repro.machine.traps import Trap, TrapKind
 from repro.obs.tracer import Tracer
 from repro.workloads import ALL_WORKLOADS
 
@@ -82,10 +86,12 @@ def assert_risc_identical(program, **kwargs):
     return reference
 
 
-def run_vax(program, engine, *, traced=False, max_steps=5_000_000):
+def run_vax(program, engine, *, traced=False, max_steps=5_000_000, hook_factory=None):
     cpu = VaxCPU()
     tracer = Tracer(capacity=1 << 14) if traced else None
     cpu.load(program)
+    if hook_factory is not None:
+        cpu.on_execute = hook_factory(cpu, program)
     outcome = _outcome(
         lambda: cpu.run(max_steps=max_steps, tracer=tracer, engine=engine)
     )
@@ -96,7 +102,9 @@ def run_vax(program, engine, *, traced=False, max_steps=5_000_000):
         "pc": cpu.pc,
         "regs": list(cpu.regs),
         "flags": (cpu.n, cpu.z, cpu.v, cpu.c),
+        "depth": cpu._depth,
         "console": "".join(cpu._console),
+        "image": hashlib.sha256(cpu.memory._bytes).hexdigest(),
         "events": list(tracer.events) if tracer else None,
         "dropped": tracer.dropped if tracer else 0,
     }
@@ -120,7 +128,7 @@ class TestWorkloadParity:
         reference = assert_risc_identical(workload_program(name, "risc1"), traced=True)
         assert reference["events"]
 
-    @pytest.mark.parametrize("name", TRACED_WORKLOADS)
+    @pytest.mark.parametrize("name", WORKLOADS)
     def test_vax_untraced(self, name):
         reference = assert_vax_identical(workload_program(name, "cisc"))
         assert reference["outcome"][0] == "halt"
@@ -296,6 +304,50 @@ class TestTrapParity:
         assert reference["outcome"][0] in ("trap", "encoding")
 
 
+#: One program per way a VAX step can trap: ``fault`` labels the
+#: instruction that traps (``None``: the PC is given in the third field).
+VAX_TRAPS = {
+    "bus_error_read": ("fault: movl @#0x200000, r1", TrapKind.BUS_ERROR, None),
+    "bus_error_write": ("fault: movl #1, @#0x200000", TrapKind.BUS_ERROR, None),
+    "bus_error_fetch": ("jmp @#0x100000", TrapKind.BUS_ERROR, 0x100000),
+    "write_to_immediate": ("fault: movl r1, #5", TrapKind.ILLEGAL_INSTRUCTION, None),
+    "divide_by_zero": (
+        "movl #7, r1\n clrl r2\nfault: divl2 r2, r1", TrapKind.ILLEGAL_INSTRUCTION, None
+    ),
+    "unknown_mmio": ("fault: movl #0, @#0x7F000010", TrapKind.BUS_ERROR, None),
+    "illegal_opcode": ("fault: .byte 0xff", TrapKind.ILLEGAL_INSTRUCTION, None),
+    "bad_specifier": ("fault: .byte 0xd0, 0x41, 0x51", TrapKind.ILLEGAL_INSTRUCTION, None),
+    "jmp_register": ("fault: jmp r1", TrapKind.ILLEGAL_INSTRUCTION, None),
+    "calls_stack_overflow": (
+        "movl #8, sp\nfault: calls #0, @#proc\nproc: .word 0\n ret",
+        TrapKind.BUS_ERROR,
+        None,
+    ),
+    # the third pop faults after RET has already moved the PC
+    "ret_frame_overflow": ("movl #0xFFFF8, fp\nfault: ret", TrapKind.BUS_ERROR, None),
+}
+
+
+class TestVaxTrapParity:
+    @pytest.mark.parametrize("traced", [False, True])
+    @pytest.mark.parametrize("case", sorted(VAX_TRAPS))
+    def test_trap_parity_and_pc(self, case, traced):
+        """Both engines trap alike, and the trap carries the address of
+        the faulting instruction (the TRAP event's PC)."""
+        body, kind, pc = VAX_TRAPS[case]
+        program = assemble_vax(f"__start:\n{body}\n halt\n")
+        reference = assert_vax_identical(program, traced=traced)
+        outcome, trap_kind, _detail, trap_pc = reference["outcome"]
+        expected = program.symbol("fault") if pc is None else pc
+        assert (outcome, trap_kind, trap_pc) == ("trap", kind, expected)
+        for engine in ("reference", "fast"):
+            cpu = VaxCPU()
+            cpu.load(program)
+            with pytest.raises(Trap) as excinfo:
+                cpu.run(engine=engine)
+            assert f"at pc={expected:#010x}" in str(excinfo.value)
+
+
 SELF_MODIFYING_PROGRAM = """
 ; the instruction at `patch` starts as `add r6, r6, #1`; the loop
 ; overwrites it with `add r6, r6, #5` after the first iteration
@@ -332,6 +384,156 @@ class TestSelfModifyingCode:
         )
         reference = assert_risc_identical(program, traced=traced)
         # 1 (original) + 5 + 5 (patched re-executions)
+        assert reference["outcome"][1]["exit_code"] == 11
+
+
+#: Every mnemonic and addressing mode, specifiers with side effects on a
+#: register the same instruction reads, byte and word forms, dynamic shift
+#: counts, CALLS/RET saving registers, and each branch taken and not.
+VAX_INSTRUCTION_MIX = """
+__start:
+        moval @#table, r1
+        movl #-5, r2
+        movl #0x12345678, r3
+        addl2 4(r1), (r1)+
+        addl3 (r1)+, (r1)+, r4
+        movl -(r1), r5
+        subl2 r1, (r1)+
+        cmpl r1, -(r1)
+        movl (r1), -(sp)
+        movl (sp)+, r6
+        movb #0x7f, r3
+        movw @#table, r3
+        cvtbl @#table+3, r4
+        cvtwl @#table+2, r5
+        movzbl @#table+3, r6
+        movzwl @#table+2, r7
+        cmpb r3, r4
+        cmpw r4, r3
+        movb r2, @#cell
+        movw r2, @#cell+2
+        movl #-3, r8
+        ashl r8, r3, r9
+        ashl #31, #1, r9
+        ashl r8, #-64, r10
+        ashl #-2, r2, r10
+        mull3 r2, r3, r4
+        mull2 #3, r4
+        divl3 #3, r3, r5
+        divl2 #-2, r5
+        mnegl r5, r6
+        mcoml r6, r7
+        incl r7
+        decl @#cell
+        tstl @#cell
+        clrl @#cell
+        bisl3 #0xF0, r3, r4
+        bisl2 r4, r3
+        xorl3 r4, #3, r5
+        xorl2 r4, r3
+        andl3 #0xFF0, r3, r5
+        andl2 #0xFF, r3
+        subl3 #1, r3, r6
+        addl3 r2, #0x7fffffff, r6
+        movl r6, @#0x7F000004
+        pushl r3
+        pushl @#cell
+        calls #2, @#proc
+        movl r0, @#0x7F000004
+        movl #-1, r2
+        movl #1, r3
+        clrl r11
+        cmpl r2, r3
+        blss b1
+        incl r11
+b1: bleq b2
+        incl r11
+b2: bgtr b3
+        incl r11
+b3: bgeq b4
+        incl r11
+b4: blssu b5
+        incl r11
+b5: blequ b6
+        incl r11
+b6: bgtru b7
+        incl r11
+b7: bgequ b8
+        incl r11
+b8: cmpl r3, r3
+        beql b9
+        incl r11
+b9: bneq b10
+        incl r11
+b10: brb b11
+        incl r11
+b11: brw b12
+        incl r11
+b12: movl r11, @#0x7F000004
+        moval b13, r1
+        jmp (r1)
+        incl r11
+b13: movl r11, r0
+        halt
+proc:
+        .word 0x001C
+        movl 4(ap), r2
+        addl3 8(ap), r2, r0
+        movl #99, r3
+        ret
+.data
+table: .long 0x01028384, 0x05060708, 0x090a0b0c, 0x0d0e0f10
+cell: .long 0
+"""
+
+
+class TestVaxInstructionParity:
+    @pytest.mark.parametrize("traced", [False, True])
+    def test_instruction_mix(self, traced):
+        reference = assert_vax_identical(assemble_vax(VAX_INSTRUCTION_MIX), traced=traced)
+        assert reference["outcome"][0] == "halt"
+
+    def test_instruction_mix_operands_seen_by_hook(self):
+        program = assemble_vax(VAX_INSTRUCTION_MIX)
+        recordings = {}
+        for engine in ("reference", "fast"):
+            seen = recordings[engine] = []
+
+            def hook_factory(cpu, prog, seen=seen):
+                def hook(pc, info, operands, branch_disp):
+                    seen.append(
+                        (pc, info.mnemonic, [(op.kind, op.value) for op in operands],
+                         branch_disp, cpu.pc, list(cpu.regs))
+                    )
+
+                return hook
+
+            run_vax(program, engine, hook_factory=hook_factory)
+        assert recordings["fast"] == recordings["reference"]
+        assert {mnemonic for _pc, mnemonic, *_rest in recordings["fast"]} == set(INSTRUCTIONS)
+
+
+VAX_SELF_MODIFYING_PROGRAM = """
+; `patch` starts as `addl2 #1, r6`; the loop rewrites its literal to 5
+__start:
+    movl #3, r5
+    clrl r6
+loop:
+patch:
+    addl2 #1, r6
+    movb #5, @#patch+1
+    decl r5
+    bneq loop
+    movl r6, r0
+    movl r0, @#0x7F00000C
+"""
+
+
+class TestVaxSelfModifyingCode:
+    @pytest.mark.parametrize("traced", [False, True])
+    def test_store_over_translated_instruction(self, traced):
+        reference = assert_vax_identical(assemble_vax(VAX_SELF_MODIFYING_PROGRAM), traced=traced)
+        # 1 (original) + 5 + 5 (the rewritten instruction, re-executed)
         assert reference["outcome"][1]["exit_code"] == 11
 
 
@@ -372,6 +574,45 @@ class TestStepLimitParity:
         assert reference["outcome"][0] == "limit"
         assert reference["outcome"][3]["instructions"] == 500
 
+    @pytest.mark.parametrize("traced", [False, True])
+    @pytest.mark.parametrize("limit", [1, 2, 37, 1_000, 4_321])
+    def test_vax_limits(self, limit, traced):
+        program = workload_program("qsort", "cisc")
+        reference = run_vax(program, "reference", max_steps=limit, traced=traced)
+        assert run_vax(program, "fast", max_steps=limit, traced=traced) == reference
+        assert reference["outcome"][3]["instructions"] == limit
+
+    def test_vax_limit_just_after_calls(self):
+        """The budget runs out on a CALLS: the callee's frame is built."""
+        program = workload_program("towers", "cisc")
+        mnemonics = []
+        cpu = VaxCPU()
+        cpu.load(program)
+        cpu.on_execute = lambda pc, info, operands, disp: mnemonics.append(info.mnemonic)
+        cpu.run(max_steps=5_000_000)
+        calls = [step for step, mnemonic in enumerate(mnemonics) if mnemonic == "calls"]
+        for count, limit in ((1, calls[0] + 1), (4, calls[3] + 1)):
+            reference = run_vax(program, "reference", max_steps=limit)
+            assert run_vax(program, "fast", max_steps=limit) == reference
+            assert reference["outcome"][3]["calls"] == count
+
+    @pytest.mark.parametrize("chunk", [1, 97])
+    def test_vax_chunked_runs_match_one_run(self, chunk):
+        """Translations kept across ``run()`` calls change nothing."""
+        program = workload_program("ackermann", "cisc")
+        reference = run_vax(program, "reference")
+        cpu = VaxCPU()
+        cpu.load(program)
+        while True:
+            try:
+                result = cpu.run(max_steps=chunk, engine="fast")
+                break
+            except StepLimitExceeded:
+                pass
+        assert result.to_dict() == reference["outcome"][1]
+        assert list(cpu.regs) == reference["regs"]
+        assert (cpu.n, cpu.z, cpu.v, cpu.c) == reference["flags"]
+
 
 class TestHookSeesLiveStats:
     """A hook reads ``instructions``/``cycles`` mid-run; the fast engine
@@ -400,10 +641,38 @@ class TestHookSeesLiveStats:
         assert len(recordings["fast"]) == instructions
 
 
+class TestVaxHookSeesLiveStats:
+    """The VAX hook fires after operand evaluation, with ``cpu.pc`` at the
+    fall-through; the fast engine keeps the stats live for it."""
+
+    @pytest.mark.parametrize("name", ["towers", "quicksort_i"])
+    def test_hook_recordings_identical(self, name):
+        program = workload_program(name, "cisc")
+        runs, recordings = {}, {}
+        for engine in ("reference", "fast"):
+            seen = recordings[engine] = []
+
+            def hook_factory(cpu, prog, seen=seen):
+                def hook(pc, info, operands, branch_disp):
+                    stats = cpu.stats
+                    seen.append(
+                        (pc, stats.instructions, stats.cycles, stats.inst_bytes, cpu.pc)
+                    )
+
+                return hook
+
+            runs[engine] = run_vax(program, engine, hook_factory=hook_factory)
+        assert runs["fast"] == runs["reference"]
+        assert recordings["fast"] == recordings["reference"]
+        instructions = runs["fast"]["stats"]["instructions"]
+        assert len(recordings["fast"]) == instructions
+
+
 class TestPipelineParity:
     """The uarch timing model rides the retired-instruction hook, so its
     accounting must be bit-identical across engines for both machines —
-    the fast paths fall back to their exact loops when a hook is live."""
+    a hooked run is observed, so the fast engines keep their stats per
+    step for it."""
 
     @pytest.mark.parametrize("name", WORKLOADS)
     def test_risc_pipeline_stats(self, name):

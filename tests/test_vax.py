@@ -1,12 +1,16 @@
 """Tests for the VAX-like baseline: assembler, addressing modes, flags,
 and the CALLS/RET procedure linkage."""
 
+import gc
+import weakref
+
 import pytest
 
 from repro.baselines.vax.assembler import AssemblerError, assemble_vax, parse_operand
 from repro.baselines.vax.cpu import VaxCPU
 from repro.baselines.vax.isa import INSTRUCTIONS
 from repro.baselines.vax.timing import VaxTiming
+from repro.core.api import StepLimitExceeded
 
 
 def run(source, **kwargs):
@@ -289,3 +293,28 @@ class TestTiming:
         timing = VaxTiming()
         for info in INSTRUCTIONS.values():
             assert info.kind in timing.base_cycles, info.mnemonic
+
+
+class TestEngineLifetime:
+    def test_translations_survive_a_step_limit(self):
+        cpu = VaxCPU()
+        cpu.load(assemble_vax("__start:\n    movl #1, r0\nloop: brb loop\n"))
+        for _ in range(2):
+            with pytest.raises(StepLimitExceeded):
+                cpu.run(max_steps=10)
+            assert cpu._engine is not None and cpu._engine.translations
+
+    def test_halted_machine_is_freed_without_the_cycle_collector(self):
+        """A run that ends drops the translations, whose closures point
+        back at the machine, so dropping the machine frees it."""
+        gc.disable()
+        try:
+            cpu = VaxCPU()
+            cpu.load(assemble_vax(f"__start:\n    movl #3, r0\n    {HALT}\n"))
+            assert cpu.run(engine="fast").exit_code == 3
+            assert cpu._engine is None
+            freed = weakref.ref(cpu)
+            del cpu
+            assert freed() is None
+        finally:
+            gc.enable()
