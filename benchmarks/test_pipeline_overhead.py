@@ -4,10 +4,10 @@ Runs quicksort on the RISC I simulator three ways — no pipeline model,
 one probe (the default ``bht2/full`` configuration), and the full
 five-probe experiment sweep — and emits ``BENCH_pipeline.json``.  The
 load-bearing number is the *disabled* path: ``run(uarch=None)`` attaches
-nothing, so the fast engine keeps its batched loop and throughput must
-stay within noise of the plain run.  The probe factors are informational
-(measuring forces the exact per-step loop plus Python accounting per
-retire, so a real slowdown is expected and recorded, not asserted).
+nothing, so throughput must stay within noise of the plain run.  The
+probe factors are informational (a probe appends every retire to a
+buffer and replays it through Python accounting in chunks, so a real
+slowdown is expected and recorded, not asserted).
 """
 
 import json
@@ -78,7 +78,7 @@ def test_pipeline_overhead(scale, capsys, bench_json):
         print("\n" + json.dumps(results, indent=2))
 
     # the acceptance bar: uarch=None attaches nothing, so the fast
-    # engine's batched loop must stay within noise of the plain run
+    # engine must stay within noise of the plain run
     assert off >= 0.90 * baseline, results
     # sanity: the probes actually measured something
     assert one_probe > 0 and sweep > 0

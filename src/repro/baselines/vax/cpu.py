@@ -127,7 +127,7 @@ class VaxCPU(MachineShell):
         #: Optional per-instruction hook ``fn(pc, info, operands,
         #: branch_disp)``, fired after operand evaluation and before
         #: execution, with ``pc`` at the fall-through — identically on
-        #: both engines.  The pipeline timing model hangs off this.
+        #: both engines.
         self.on_execute = None
         #: the translating engine (:mod:`repro.baselines.vax.engine`),
         #: built by the first fast run after a load or restore
@@ -190,6 +190,8 @@ class VaxCPU(MachineShell):
             raise
         if self.on_execute is not None:
             self.on_execute(pc, info, operands, branch_disp)
+        if self._sink is not None:
+            self._sink.retire(pc, self.pc)
         reads_before = self.memory.stats.data_reads
         writes_before = self.memory.stats.data_writes
         try:

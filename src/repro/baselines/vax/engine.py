@@ -35,7 +35,9 @@ registers, flags and tracer event stream as the reference loop
   and ``cycles`` when the loop exits: ``cycles`` is the sum of count
   times static cost, plus ``memory_cycles`` for each data reference the
   run made.  ``data_reads``/``data_writes`` are folded from the memory
-  counters the same way (per step in an observed run).
+  counters the same way (per step in an observed run).  A uarch probe
+  alone leaves the run unobserved: each step appends its PC and the
+  data-reference count so far to the retire stream.
 
 Bytes that do not decode, bad specifiers and PCs outside the loaded code
 segment run through ``cpu.step()`` for that one step — semantics by
@@ -174,6 +176,8 @@ class VaxEngine:
                 t = self._make(pc, decoded)
                 self.translations[pc] = t
                 self.counts[pc] = 0
+                if self.cpu._sink is not None:
+                    self.cpu._sink.describe(pc, t.fall)
                 handler = t.body
                 if t.pre is not None:
                     pre, body = t.pre, t.body
@@ -670,6 +674,8 @@ class VaxEngine:
                 t.pre()
             hook(pc, t.info, t.describe(), t.branch_disp)
             handler = t.body
+        if cpu._sink is not None:
+            cpu._sink.retire(pc, t.fall)
         reads, writes = mstats.data_reads, mstats.data_writes
         try:
             return handler()
@@ -710,41 +716,54 @@ class VaxEngine:
         lookup = self.handlers.get
         translate = self._translate
         counts = self.counts
+        sink = cpu._sink
+        record, batch = None, limit
+        if sink is not None:  # a measured run: see repro.uarch.sink
+            record, batch = sink.buf.append, sink.chunk
+            self.handlers.clear()  # retranslated, so described, as they run
         pc = cpu.pc
         # data references made inside cpu.step(), which counts its own
         step_reads = step_writes = 0
         reads_at_start, writes_at_start = mstats.data_reads, mstats.data_writes
         try:
-            for _ in range(limit):
-                handler = lookup(pc)
-                if handler is None:
-                    handler = translate(pc)
-                if handler is False:
-                    cpu.pc = pc
-                    reads, writes = mstats.data_reads, mstats.data_writes
-                    try:
-                        cpu.step()
-                    finally:
-                        step_reads += mstats.data_reads - reads
-                        step_writes += mstats.data_writes - writes
-                        pc = cpu.pc
-                elif observed:
-                    try:
-                        pc = observed_step(pc, handler)
-                    except BaseException:
-                        pc = self._faulted(pc)
-                        raise
-                else:
-                    try:
-                        next_pc = handler()
-                    except BaseException as exc:
+            while limit > 0:
+                steps = min(limit, batch)
+                limit -= steps
+                for _ in range(steps):
+                    handler = lookup(pc)
+                    if handler is None:
+                        handler = translate(pc)
+                    if handler is False:
+                        cpu.pc = pc
+                        reads, writes = mstats.data_reads, mstats.data_writes
+                        try:
+                            cpu.step()
+                        finally:
+                            step_reads += mstats.data_reads - reads
+                            step_writes += mstats.data_writes - writes
+                            pc = cpu.pc
+                    elif observed:
+                        try:
+                            pc = observed_step(pc, handler)
+                        except BaseException:
+                            pc = self._faulted(pc)
+                            raise
+                    else:
+                        if record is not None:
+                            record(pc)
+                            record(mstats.data_reads + mstats.data_writes)
+                        try:
+                            next_pc = handler()
+                        except BaseException as exc:
+                            counts[pc] += 1
+                            if isinstance(exc, Trap):
+                                exc.pc = pc
+                            pc = self._faulted(pc)
+                            raise
                         counts[pc] += 1
-                        if isinstance(exc, Trap):
-                            exc.pc = pc
-                        pc = self._faulted(pc)
-                        raise
-                    counts[pc] += 1
-                    pc = next_pc
+                        pc = next_pc
+                if sink is not None:
+                    sink.drain()
         finally:
             cpu.pc = pc
             for counted in counts:

@@ -145,6 +145,9 @@ class StepLimitExceeded(Trap):
         self.limit = limit
         self.stats = stats
 
+    def __reduce__(self):
+        return type(self), (self.limit, self.pc, self.stats)
+
 
 # -- the stats-type registry -------------------------------------------------
 
@@ -329,6 +332,8 @@ class MachineShell:
         self._console: list[str] = []
         #: the last-loaded program (the RISC I fast engine predecodes it)
         self._program = None
+        #: the :mod:`repro.uarch.sink` retire sink of a measured run
+        self._sink = None
 
     def _install_tracer(self, tracer) -> None:
         """Resolve the tracer once; the step loops only test booleans."""
@@ -379,14 +384,12 @@ class MachineShell:
         if tracer is not None:
             self._install_tracer(tracer)
         engine_name = resolve_engine(engine)
-        probe = None
+        sink = None
         if uarch is not None and uarch is not False:
-            from repro.uarch import PipelineModel, attach_pipeline, resolve_uarch
+            from repro.uarch import PipelineModel, resolve_uarch
+            from repro.uarch.sink import open_sink
 
-            probe = attach_pipeline(
-                self,
-                PipelineModel(resolve_uarch(uarch), machine=self.name, tracer=self.tracer),
-            )
+            sink = open_sink(self, [PipelineModel(resolve_uarch(uarch), self.name, self.tracer)])
         started = time.perf_counter()
         try:
             self._run_steps(limit, engine_name)
@@ -396,8 +399,8 @@ class MachineShell:
             wall_s = time.perf_counter() - started
             self._sync_memory_stats()
             result = RunResult(self.name, halt.code, "".join(self._console), self.stats)
-            if probe is not None:
-                result.pipeline = probe.finalize()[0]
+            if sink is not None:
+                result.pipeline = sink.finish()[0]
             if self.metrics is not None:
                 from repro.obs.metrics import record_machine_run
 
@@ -413,10 +416,8 @@ class MachineShell:
             )
             return result
         finally:
-            if probe is not None:
-                from repro.uarch import detach_pipeline
-
-                detach_pipeline(self, probe)
+            if sink is not None:
+                sink.close()
 
     def _run_steps(self, limit: int, engine: str) -> None:
         """Execute up to ``limit`` instructions; :class:`MachineHalted` ends early."""

@@ -106,9 +106,7 @@ class CPU(MachineShell):
 
     def _run_steps(self, limit: int, engine: str) -> None:
         """``"fast"`` is the predecoded engine of :mod:`repro.core.engine`;
-        ``"reference"`` the plain ``step()`` loop.  A run measured under
-        ``uarch`` installs an ``on_execute`` hook, so the fast engine
-        keeps ``instructions``/``cycles`` per step for it."""
+        ``"reference"`` the plain ``step()`` loop."""
         if engine == "fast" and self._program is not None:
             from repro.core.engine import PredecodedEngine
 
@@ -153,6 +151,8 @@ class CPU(MachineShell):
         pc = self.pc
         word = self.memory.fetch_word(pc)
         inst = _decode(word)
+        if self._sink is not None:
+            self._sink.retire(pc, word, inst)
         if self.on_execute is not None:
             self.on_execute(pc, inst)
         next_npc = self.npc + 4
@@ -339,6 +339,8 @@ class CPU(MachineShell):
         self.stats.calls += 1
         self.stats.max_call_depth = max(self.stats.max_call_depth, self.regs.depth)
         self.psw.cwp = self.regs.cwp
+        if self._sink is not None:
+            self._sink.note_window()
 
     def _ret(self, inst: Instruction, pc: int) -> int:
         target = (self.regs.read(inst.rs1) + self._s2_value(inst)) & WORD
@@ -353,6 +355,8 @@ class CPU(MachineShell):
             self._fill_window(fill)
         self.stats.returns += 1
         self.psw.cwp = self.regs.cwp
+        if self._sink is not None:
+            self._sink.note_window()
 
     def _spill_windows(self, windows: list[int]) -> None:
         """One overflow trap saving one or more windows (oldest first)."""

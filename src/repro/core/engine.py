@@ -35,7 +35,9 @@ cheap by folding counters late, under one rule:
   advances those two per step, after the handler and before the RETIRE
   event, exactly where the reference loop does; an unobserved run folds
   them from the counts with ``by_opcode`` — nothing mid-run can see the
-  difference.
+  difference.  A uarch probe reads nothing mid-run: its run stays
+  unobserved and appends each PC to the probe's retire stream
+  (:mod:`repro.uarch.sink`), drained between batches of steps.
 
 Rare instructions that need interpreter state the engine does not model
 (``GTLPC``/``CALLINT`` read the previous PC), undecodable words, and
@@ -148,6 +150,8 @@ class PredecodedEngine:
         handler = self._make_handler(inst, address)
         self.handlers[idx] = handler
         if handler is not False:
+            if cpu._sink is not None:  # a measured run: see repro.uarch.sink
+                cpu._sink.describe(address, word, inst)
             self.costs[idx] = cpu.timing.instruction_cycles(inst.opcode)
             self.ops[idx] = inst.opcode
             self.names[idx] = inst.opcode.name
@@ -536,6 +540,10 @@ class PredecodedEngine:
         base = self.base
         span = self.span
         compile_word = self._compile_word
+        sink = cpu._sink
+        record = sink.buf.append if sink is not None else None
+        # a measured run drains the sink's buffer between batches of steps
+        batch = sink.chunk if sink is not None else limit
         pc = cpu.pc
         npc = cpu.npc
         last_pc = cpu._last_pc
@@ -543,84 +551,91 @@ class PredecodedEngine:
         previous_watch = memory.write_watch
         memory.write_watch = self._note_write
         try:
-            for _ in range(limit):
-                if cpu._interrupt_request is not None:
-                    if (
-                        psw.interrupts_enabled
-                        and cpu._pending is None
-                        and npc == pc + 4
-                    ):
-                        cpu.pc = pc
-                        cpu.npc = npc
-                        cpu._deliver_interrupt()
-                        pc = cpu.pc
-                        npc = cpu.npc
-                offset = pc - base
-                if 0 <= offset < span and not offset & 3:
-                    idx = offset >> 2
-                    handler = handlers[idx]
-                    if handler is None:
-                        handler = compile_word(idx)
-                else:
-                    handler = False
-                if handler is False:
-                    cpu.pc = pc
-                    cpu.npc = npc
-                    cpu._last_pc = last_pc
-                    cpu.step()
-                    pc = cpu.pc
-                    npc = cpu.npc
-                    last_pc = cpu._last_pc
-                    continue
-                pending = cpu._pending
-                if pending is not None:
-                    cpu._pending = None
-                fetches += 1
-                if observed:
-                    hook = cpu.on_execute
-                    if hook is not None:
+            while limit > 0:
+                steps = min(limit, batch)
+                limit -= steps
+                for _ in range(steps):
+                    if cpu._interrupt_request is not None:
+                        if (
+                            psw.interrupts_enabled
+                            and cpu._pending is None
+                            and npc == pc + 4
+                        ):
+                            cpu.pc = pc
+                            cpu.npc = npc
+                            cpu._deliver_interrupt()
+                            pc = cpu.pc
+                            npc = cpu.npc
+                    offset = pc - base
+                    if 0 <= offset < span and not offset & 3:
+                        idx = offset >> 2
+                        handler = handlers[idx]
+                        if handler is None:
+                            handler = compile_word(idx)
+                    else:
+                        handler = False
+                    if handler is False:
                         cpu.pc = pc
                         cpu.npc = npc
                         cpu._last_pc = last_pc
-                        hook(pc, insts[idx])
-                try:
-                    target = handler()
-                except MachineHalted:
-                    counts[idx] += 1  # the halting store is still recorded
+                        cpu.step()
+                        pc = cpu.pc
+                        npc = cpu.npc
+                        last_pc = cpu._last_pc
+                        continue
+                    pending = cpu._pending
+                    if pending is not None:
+                        cpu._pending = None
+                    fetches += 1
+                    if record is not None:
+                        record(pc)
+                    if observed:
+                        hook = cpu.on_execute
+                        if hook is not None:
+                            cpu.pc = pc
+                            cpu.npc = npc
+                            cpu._last_pc = last_pc
+                            hook(pc, insts[idx])
+                    try:
+                        target = handler()
+                    except MachineHalted:
+                        counts[idx] += 1  # the halting store is still recorded
+                        if observed:
+                            cost = costs[idx]
+                            stats.instructions += 1
+                            stats.cycles += cost
+                            if trace_retire:
+                                tracer.retire(stats.cycles, pc, names[idx], cost)
+                        raise
+                    except Trap as trap:
+                        if trace_trap:
+                            tracer.trap(stats.cycles, pc, trap.kind.name, trap.detail)
+                        raise
+                    if pending is not None:
+                        if cpu._pending is not None:
+                            raise Trap(
+                                TrapKind.ILLEGAL_INSTRUCTION,
+                                "control transfer in a CALL/RETURN delay slot",
+                                pc=pc,
+                            )
+                        cpu.pc = pc
+                        cpu.npc = npc
+                        cpu._apply_window_change(pending)
+                    counts[idx] += 1
                     if observed:
                         cost = costs[idx]
                         stats.instructions += 1
                         stats.cycles += cost
                         if trace_retire:
                             tracer.retire(stats.cycles, pc, names[idx], cost)
-                    raise
-                except Trap as trap:
-                    if trace_trap:
-                        tracer.trap(stats.cycles, pc, trap.kind.name, trap.detail)
-                    raise
-                if pending is not None:
-                    if cpu._pending is not None:
-                        raise Trap(
-                            TrapKind.ILLEGAL_INSTRUCTION,
-                            "control transfer in a CALL/RETURN delay slot",
-                            pc=pc,
-                        )
-                    cpu.pc = pc
-                    cpu.npc = npc
-                    cpu._apply_window_change(pending)
-                counts[idx] += 1
-                if observed:
-                    cost = costs[idx]
-                    stats.instructions += 1
-                    stats.cycles += cost
-                    if trace_retire:
-                        tracer.retire(stats.cycles, pc, names[idx], cost)
-                last_pc = pc
-                if target is None:
-                    pc = npc
-                    npc = pc + 4
-                else:
-                    pc, npc = npc, target
+                    last_pc = pc
+                    if target is None:
+                        pc = npc
+                        npc = pc + 4
+                    else:
+                        pc, npc = npc, target
+                if sink is not None:
+                    sink.drain()
         finally:
             cpu.pc = pc
             cpu.npc = npc

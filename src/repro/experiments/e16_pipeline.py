@@ -7,8 +7,8 @@ reports, for both machines:
 
 * CPI under the standard sweep — three branch predictors at full
   bypassing, then the degraded forwarding matrices under the base
-  predictor (one architectural run per workload per machine; the
-  adapters fan each retired instruction out to every probe);
+  predictor (one architectural run per workload per machine; each
+  chunk of the retired stream is replayed into every probe);
 * the stall-cycle anatomy at the base configuration (``bht2/full``):
   RAW, load-use, control, window-handler and structural bubbles as a
   fraction of model cycles, plus predictor accuracy and delay-slot fill.

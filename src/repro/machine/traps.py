@@ -35,6 +35,10 @@ class Trap(Exception):
         self.pc = pc
         super().__init__(str(self))
 
+    def __reduce__(self):
+        # the exception args hold only the message; rebuild from the fields
+        return type(self), (self.kind, self.detail, self.pc)
+
     def __str__(self) -> str:
         # built when printed, so it shows a PC filled in after raising
         location = f" at pc={self.pc:#010x}" if self.pc is not None else ""

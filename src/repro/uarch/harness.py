@@ -1,16 +1,19 @@
 """Multi-configuration measurement harness for the pipeline model.
 
 Comparing N pipeline configurations needs only one architectural run:
-the adapters fan each retired instruction out to every attached model,
-so a predictor × forwarding sweep costs one simulation plus N cheap
-accounting passes — the shape every pipeline experiment here uses.
+the retire sink replays each buffered chunk of the retired stream into
+every attached model, so a predictor × forwarding sweep costs one
+simulation plus N cheap accounting passes — the shape every pipeline
+experiment here uses.
 """
 
 from __future__ import annotations
 
-from repro.uarch.adapters import attach_pipeline, detach_pipeline
+import dataclasses
+
 from repro.uarch.config import PREDICTORS, UarchConfig
-from repro.uarch.pipeline import PipelineModel, PipelineStats
+from repro.uarch.pipeline import PipelineModel
+from repro.uarch.sink import open_sink
 
 __all__ = ["run_with_pipeline", "standard_sweep"]
 
@@ -21,18 +24,17 @@ def run_with_pipeline(cpu, configs, **run_kwargs):
     ``cpu`` is a loaded RISC I ``CPU`` or ``VaxCPU``; ``configs`` is one
     :class:`UarchConfig` or a sequence of them.  Returns
     ``(result, stats)`` where ``stats`` is a list of
-    :class:`PipelineStats` parallel to ``configs``.  The instrumentation
-    hook is detached afterwards even if the run raises.
+    :class:`~repro.uarch.pipeline.PipelineStats` parallel to
+    ``configs``.  The sink is detached afterwards even if the run raises.
     """
     if isinstance(configs, UarchConfig):
         configs = [configs]
-    models = [PipelineModel(config, machine=cpu.name) for config in configs]
-    adapter = attach_pipeline(cpu, models)
+    sink = open_sink(cpu, [PipelineModel(config, machine=cpu.name) for config in configs])
     try:
         result = cpu.run(**run_kwargs)
     finally:
-        detach_pipeline(cpu, adapter)
-    return result, adapter.finalize()
+        sink.close()
+    return result, sink.finish()
 
 
 def standard_sweep(base: UarchConfig | None = None) -> list[UarchConfig]:
@@ -44,27 +46,8 @@ def standard_sweep(base: UarchConfig | None = None) -> list[UarchConfig]:
     ``bht2/full``).
     """
     base = base or UarchConfig()
-    sweep = [
-        UarchConfig(
-            predictor=predictor,
-            forwarding=base.forwarding,
-            bht_entries=base.bht_entries,
-            mispredict_penalty=base.mispredict_penalty,
-            mem_port_cycles=base.mem_port_cycles,
-            depth=base.depth,
-        )
-        for predictor in PREDICTORS
+    return [dataclasses.replace(base, predictor=predictor) for predictor in PREDICTORS] + [
+        dataclasses.replace(base, forwarding=forwarding)
+        for forwarding in ("none", "ex")
+        if forwarding != base.forwarding
     ]
-    for forwarding in ("none", "ex"):
-        if forwarding != base.forwarding:
-            sweep.append(
-                UarchConfig(
-                    predictor=base.predictor,
-                    forwarding=forwarding,
-                    bht_entries=base.bht_entries,
-                    mispredict_penalty=base.mispredict_penalty,
-                    mem_port_cycles=base.mem_port_cycles,
-                    depth=base.depth,
-                )
-            )
-    return sweep

@@ -33,31 +33,39 @@ paper's own three-stage machine grown to the textbook five stages):
 * delayed control transfers always execute their slot (RISC I
   semantics); the model scores each dynamic slot as *filled* (useful
   work) or a *nop* (the bubble the optimizer failed to hide);
-* conditional branches are predicted at fetch and resolved two retires
-  later (branch, slot, then the first instruction on the resolved
-  path); a misprediction squashes ``mispredict_penalty`` wrong-path
-  fetch cycles.  Unconditional transfers need no prediction: their
-  targets are computed by the address adder during decode and the delay
-  slot hides the fetch bubble — exactly the paper's delayed-jump
-  argument;
+* conditional branches are predicted at fetch and resolved from the
+  retired PC stream: a RISC I jump at ``P`` was taken iff the second
+  retire after it (slot, then resolved path) is not at ``P + 8``; a VAX
+  branch resolves one retire later.  A misprediction squashes
+  ``mispredict_penalty`` wrong-path fetch cycles.  Unconditional
+  transfers need no prediction: the address adder computes their
+  targets during decode and the delay slot hides the fetch bubble —
+  exactly the paper's delayed-jump argument;
 * register-window overflow/underflow handlers drain the pipe for the
-  handler cycles the architectural model already charges
-  (``stats.overflow_cycles``), reported in the ``window`` stall bucket.
+  handler cycles the architectural model already charges, reported in
+  the ``window`` stall bucket; a VAX instruction occupies EX/MEM for its
+  exact cycle cost, the microcode serializing the pipe.
 
-Condition codes are assumed always forwarded (the PSW bits ride the
-ALU's bypass paths for free in all three matrices); only register
-operands create hazards.
+RISC I register ids are *physical* indices through the window map of
+the instruction's CWP, so the CALL/RETURN overlap aliases; a CALL's
+return address lands in the *next* window (rotation happens under its
+delay slot).  VAX hazards come from register-mode operands and their
+access codes (plus SP for push, CALLS and RET).  Condition codes are
+always forwarded.  The stream is replayed after the fact, in chunks
+(:mod:`repro.uarch.sink`); a VAX instruction's cost is known only when
+the next one starts, so the VAX is accounted *lag-one*.
 """
 
 from __future__ import annotations
 
+import collections
 import dataclasses
 
 from repro.obs.events import EventKind
 from repro.uarch.config import UarchConfig
 from repro.uarch.predictors import make_predictor
 
-__all__ = ["PipelineModel", "PipelineStats", "STALL_KINDS"]
+__all__ = ["PipelineModel", "PipelineStats", "Retire", "STALL_KINDS"]
 
 #: RAW latencies (ALU, load) per forwarding mode, in EX-to-EX cycles.
 _LATENCIES = {
@@ -117,13 +125,7 @@ class PipelineStats:
 
     @property
     def stall_cycles(self) -> int:
-        return (
-            self.raw_stalls
-            + self.load_use_stalls
-            + self.control_stalls
-            + self.window_stalls
-            + self.structural_stalls
-        )
+        return sum(self.stall_breakdown().values())
 
     @property
     def slot_fill_rate(self) -> float:
@@ -131,13 +133,7 @@ class PipelineStats:
 
     def stall_breakdown(self) -> dict[str, int]:
         """Stall cycles per bucket, in :data:`STALL_KINDS` order."""
-        return {
-            "raw": self.raw_stalls,
-            "load_use": self.load_use_stalls,
-            "control": self.control_stalls,
-            "window": self.window_stalls,
-            "structural": self.structural_stalls,
-        }
+        return {kind: getattr(self, f"{kind}_stalls") for kind in STALL_KINDS}
 
     def to_dict(self) -> dict:
         payload = dataclasses.asdict(self)
@@ -173,14 +169,27 @@ class PipelineStats:
         return "\n".join(lines)
 
 
-class PipelineModel:
-    """Cycle accounting for one run, fed one retired instruction at a time.
+#: One retired instruction as :meth:`PipelineModel.replay` reads it:
+#: abstract register ids, the class flags, the branch's static target
+#: and fall-through, and the EX/MEM occupancy (``is_mem`` uses the
+#: configuration's ``mem_port_cycles`` instead).
+Retire = collections.namedtuple(
+    "Retire",
+    "pc reads writes is_load is_mem delayed conditional target fallthrough "
+    "is_nop occupancy",
+)
 
-    Adapters (:mod:`repro.uarch.adapters`) translate each machine's
-    retired stream into :meth:`observe` calls using abstract register
-    ids (physical indices for RISC I so window overlap aliases
-    correctly, architectural numbers for the VAX).  The model never
-    touches machine state.
+#: Retires from a conditional branch to the PC that shows its outcome.
+_RESOLVE_AFTER = {"risc1": 2, "cisc": 1}
+
+
+class PipelineModel:
+    """Cycle accounting for one run, replayed from its retired stream.
+
+    :mod:`repro.uarch.sink` turns a machine's buffered retire records
+    into chunks of :data:`Retire` entries and plain ``int`` window-drain
+    cycle counts, and hands each chunk to :meth:`replay`.  The model
+    never touches machine state.
     """
 
     def __init__(self, config: UarchConfig | None = None, machine: str = "risc1",
@@ -190,128 +199,117 @@ class PipelineModel:
         self.predictor = make_predictor(self.config)
         self.stats = PipelineStats(machine=machine, config=self.config.to_dict())
         self._alu_lat, self._load_lat = _LATENCIES[self.config.forwarding]
-        #: EX cycle of the previous issue; first instruction's EX is 2
+        self._resolve_after = _RESOLVE_AFTER[machine]
+        #: EX/MEM occupancy frontier; the first instruction's EX is 2
         self._next_free = 2
-        self._issued = 0
-        #: reg id -> (producer EX cycle, producer was a load)
+        #: reg id -> (cycle its value reaches a consumer's EX, from a load)
         self._avail: dict[int, tuple[int, bool]] = {}
-        #: unresolved conditional branches: [retires left, pc, predicted
-        #: taken, fall-through pc]
-        self._pending: list[list] = []
+        #: unresolved conditional branches, oldest first: (instruction
+        #: number that resolves it, pc, predicted taken, fall-through pc)
+        self._pending: list[tuple] = []
         self._in_delay_slot = False
         self._tracer = tracer
         self._trace_stall = tracer is not None and tracer.wants(EventKind.PIPE_STALL)
 
     # -- feeding -----------------------------------------------------------
 
-    def note_window_cycles(self, cycles: int) -> None:
-        """Charge a window overflow/underflow handler's drain cycles."""
-        if cycles > 0:
-            self._next_free += cycles
-            self.stats.window_stalls += cycles
-            if self._trace_stall:
-                self._tracer.pipe_stall(self._next_free, 0, "window", cycles)
+    def replay(self, chunk) -> None:
+        """Account a chunk of the retired stream, in order.
 
-    def observe(
-        self,
-        pc: int,
-        reads: tuple,
-        writes: tuple,
-        *,
-        is_load: bool = False,
-        occupancy: int = 1,
-        delayed: bool = False,
-        conditional: bool = False,
-        static_target: int | None = None,
-        fallthrough: int | None = None,
-        resolve_after: int = 2,
-        is_nop: bool = False,
-    ) -> None:
-        """Account one retired instruction.
-
-        ``reads``/``writes`` are abstract register ids; ``occupancy`` is
-        the EX/MEM cycles the instruction holds the pipe (loads/stores
-        hold the memory port, VAX instructions their microcode);
-        ``delayed`` marks a control transfer with a delay slot;
-        ``conditional`` opts the transfer into branch prediction, with
-        the outcome read from the retired PC stream ``resolve_after``
-        retires later (2 for delayed-branch machines: slot, then the
-        resolved-path instruction).
+        An ``int`` entry charges a window overflow/underflow handler's
+        (positive) drain cycles before the next instruction; every other entry is a
+        :data:`Retire`.  Each instruction resolves the conditional
+        branch whose outcome its PC reveals, is scored if it fills a
+        delay slot, waits for its operands under the forwarding matrix,
+        and occupies EX/MEM for its cycles.
         """
         stats = self.stats
-        stats.instructions += 1
+        predict, update = self.predictor.predict, self.predictor.update
+        avail = self._avail
+        get = avail.get
+        pending = self._pending
+        alu_lat, load_lat = self._alu_lat, self._load_lat
+        mem_port, penalty = self.config.mem_port_cycles, self.config.mispredict_penalty
+        resolve_after = self._resolve_after
+        stall = self._tracer.pipe_stall if self._trace_stall else None
+        next_free = self._next_free
+        in_slot = self._in_delay_slot
+        count = stats.instructions
+        raw = load_use = structural = 0
+        for entry in chunk:
+            if entry.__class__ is int:
+                next_free += entry
+                stats.window_stalls += entry
+                if stall is not None:
+                    stall(next_free, 0, "window", entry)
+                continue
+            (pc, reads, writes, is_load, is_mem, delayed, conditional, target,
+             fallthrough, is_nop, occupancy) = entry
+            count += 1
 
-        # resolve conditional branches whose outcome this pc reveals
-        if self._pending:
-            still = []
-            for entry in self._pending:
-                entry[0] -= 1
-                if entry[0] > 0:
-                    still.append(entry)
-                    continue
-                taken = pc != entry[3]
-                self.predictor.update(entry[1], taken)
+            # resolve the conditional branch whose outcome this pc reveals
+            if pending and pending[0][0] == count:
+                _, branch_pc, predicted, branch_fall = pending.pop(0)
+                taken = pc != branch_fall
+                update(branch_pc, taken)
                 stats.branches += 1
                 if taken:
                     stats.branches_taken += 1
-                if entry[2] == taken:
+                if predicted == taken:
                     stats.branch_hits += 1
-                else:
-                    penalty = self.config.mispredict_penalty
-                    self._next_free += penalty
+                elif penalty:
+                    next_free += penalty
                     stats.control_stalls += penalty
-                    if self._trace_stall and penalty:
-                        self._tracer.pipe_stall(self._next_free, entry[1], "control", penalty)
-            self._pending = still
+                    if stall is not None:
+                        stall(next_free, branch_pc, "control", penalty)
 
-        # delayed-branch slot accounting
-        if self._in_delay_slot:
-            self._in_delay_slot = False
-            stats.delay_slots += 1
-            if is_nop:
-                stats.delay_slot_nops += 1
-            else:
-                stats.delay_slots_filled += 1
-
-        # RAW hazards against the forwarding matrix
-        earliest = self._next_free
-        ex = earliest
-        if reads:
-            avail = self._avail
-            binding_load = False
-            for reg in reads:
-                producer = avail.get(reg)
-                if producer is None:
-                    continue
-                ready = producer[0] + (self._load_lat if producer[1] else self._alu_lat)
-                if ready > ex:
-                    ex = ready
-                    binding_load = producer[1]
-            stall = ex - earliest
-            if stall:
-                if binding_load:
-                    stats.load_use_stalls += stall
+            # delayed-branch slot accounting
+            if in_slot:
+                in_slot = False
+                stats.delay_slots += 1
+                if is_nop:
+                    stats.delay_slot_nops += 1
                 else:
-                    stats.raw_stalls += stall
-                if self._trace_stall:
-                    self._tracer.pipe_stall(
-                        ex, pc, "load_use" if binding_load else "raw", stall
-                    )
+                    stats.delay_slots_filled += 1
 
-        # issue: occupy EX/MEM for this instruction's cycles
-        self._issued += 1
-        self._next_free = ex + occupancy
-        if occupancy > 1:
-            stats.structural_stalls += occupancy - 1
+            # RAW hazards against the forwarding matrix
+            ex = next_free
+            if reads:
+                binding_load = False
+                for reg in reads:
+                    producer = get(reg)
+                    if producer is not None and producer[0] > ex:
+                        ex, binding_load = producer
+                if ex != next_free:
+                    if binding_load:
+                        load_use += ex - next_free
+                    else:
+                        raw += ex - next_free
+                    if stall is not None:
+                        stall(ex, pc, "load_use" if binding_load else "raw", ex - next_free)
 
-        for reg in writes:
-            self._avail[reg] = (ex, is_load)
+            # issue: occupy EX/MEM for this instruction's cycles
+            if is_mem:
+                occupancy = mem_port
+            next_free = ex + occupancy
+            if occupancy > 1:
+                structural += occupancy - 1
+            if writes:
+                ready = (ex + (load_lat if is_load else alu_lat), is_load)
+                for reg in writes:
+                    avail[reg] = ready
 
-        if delayed:
-            self._in_delay_slot = True
-        if conditional:
-            predicted = self.predictor.predict(pc, static_target)
-            self._pending.append([resolve_after, pc, predicted, fallthrough])
+            if delayed:
+                in_slot = True
+            if conditional:
+                pending.append((count + resolve_after, pc, predict(pc, target), fallthrough))
+
+        self._next_free = next_free
+        self._in_delay_slot = in_slot
+        stats.instructions = count
+        stats.raw_stalls += raw
+        stats.load_use_stalls += load_use
+        stats.structural_stalls += structural
 
     # -- finishing ---------------------------------------------------------
 
@@ -324,7 +322,7 @@ class PipelineModel:
         stats = self.stats
         stats.branches_unresolved = len(self._pending)
         self._pending = []
-        if self._issued:
+        if stats.instructions:
             depth = self.config.depth
             stats.fill_cycles = depth - 1
             # last EX cycle was _next_free - occupancy; the last

@@ -195,3 +195,37 @@ class TestPSW:
         assert cc.z and not cc.n
         cc = ConditionCodes.from_result(0x80000000)
         assert cc.n and not cc.z
+
+
+class TestTrapPickling:
+    def test_round_trip_keeps_kind_detail_and_pc(self):
+        import pickle
+
+        trap = Trap(TrapKind.BUS_ERROR, "x", 4)
+        copy = pickle.loads(pickle.dumps(trap))
+        assert (type(copy), copy.kind, copy.detail, copy.pc) == (Trap, TrapKind.BUS_ERROR, "x", 4)
+        assert str(copy) == str(trap)
+
+    def test_pc_filled_in_after_raising(self):
+        import pickle
+
+        memory = Memory(64)
+        with pytest.raises(MemoryError_) as excinfo:
+            memory.read(64, 4)
+        trap = excinfo.value
+        trap.pc = 0x1000  # as the faulting step fills it in
+        copy = pickle.loads(pickle.dumps(trap))
+        assert type(copy) is MemoryError_
+        assert (copy.kind, copy.detail, copy.pc) == (trap.kind, trap.detail, 0x1000)
+        assert "at pc=0x00001000" in str(copy)
+
+    def test_step_limit_round_trip(self):
+        import pickle
+
+        from repro.core.api import StepLimitExceeded
+        from repro.core.stats import ExecutionStats
+
+        stats = ExecutionStats(instructions=7)
+        copy = pickle.loads(pickle.dumps(StepLimitExceeded(7, pc=8, stats=stats)))
+        assert (copy.limit, copy.pc, copy.kind) == (7, 8, TrapKind.HALT)
+        assert copy.stats.instructions == 7

@@ -267,11 +267,12 @@ class TestBranches:
         """A branch whose resolving retire never arrives is counted as
         unresolved, not guessed (model-level: the ``halt`` pseudo always
         expands to enough retires to resolve in real programs)."""
-        from repro.uarch import PipelineModel
+        from repro.uarch import PipelineModel, Retire
 
         model = PipelineModel(UarchConfig())
-        model.observe(0x1000, (), (), delayed=True, conditional=True, fallthrough=0x1008)
-        model.observe(0x1004, (), ())  # the slot; then the run halts
+        branch = Retire(0x1000, (), (), False, False, True, True, None, 0x1008, False, 1)
+        slot = Retire(0x1004, (), (), False, False, False, False, None, None, False, 1)
+        model.replay([branch, slot])  # the slot; then the run halts
         stats = model.finalize()
         assert stats.branches_unresolved == 1
         assert stats.branches == 0
