@@ -137,16 +137,20 @@ class StepLimitExceeded(Trap):
     A :class:`~repro.machine.traps.Trap` subclass, so existing handlers
     that catch ``Trap`` keep working, but the cause is now a distinct,
     catchable type carrying the exhausted ``limit`` and — for post-mortem
-    analysis — the machine's (synced) partial ``stats``.
+    analysis — the machine's (synced) partial ``stats`` and, for a run
+    with a uarch probe, the cut run's ``pipeline`` stats (else ``None``).
     """
 
-    def __init__(self, limit: int, pc: int | None = None, stats: Any = None):
+    def __init__(
+        self, limit: int, pc: int | None = None, stats: Any = None, pipeline: Any = None
+    ):
         super().__init__(TrapKind.HALT, f"instruction limit of {limit} reached", pc=pc)
         self.limit = limit
         self.stats = stats
+        self.pipeline = pipeline
 
     def __reduce__(self):
-        return type(self), (self.limit, self.pc, self.stats)
+        return type(self), (self.limit, self.pc, self.stats, self.pipeline)
 
 
 # -- the stats-type registry -------------------------------------------------
@@ -394,7 +398,8 @@ class MachineShell:
         try:
             self._run_steps(limit, engine_name)
             self._sync_memory_stats()
-            raise StepLimitExceeded(limit, pc=self.pc, stats=self.stats)
+            pipeline = sink.finish()[0] if sink is not None else None
+            raise StepLimitExceeded(limit, pc=self.pc, stats=self.stats, pipeline=pipeline)
         except MachineHalted as halt:
             wall_s = time.perf_counter() - started
             self._sync_memory_stats()

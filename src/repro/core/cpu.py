@@ -23,12 +23,14 @@ I/O and program exit use the memory-mapped stores of :mod:`repro.core.api`
 
 from __future__ import annotations
 
+import struct
 from functools import lru_cache
 from typing import Callable
 
 from repro.isa.conditions import Cond, ConditionCodes, cond_holds
 from repro.isa.encoding import Instruction, decode
 from repro.isa.opcodes import Opcode
+from repro.isa.registers import REGS_PER_WINDOW
 from repro.core.api import MMIO_BASE, MachineHalted, MachineShell, to_signed
 from repro.core.api import MMIO_HALT, MMIO_PUTCHAR, MMIO_PUTINT  # noqa: F401 - re-exported
 from repro.core.program import Program
@@ -48,6 +50,9 @@ SP = 1
 RA = 31
 
 _decode = lru_cache(maxsize=1 << 16)(decode)
+
+#: one register window on the save stack, as the spill leaves it
+_SAVE_WINDOW = struct.Struct(f">{REGS_PER_WINDOW}I")
 
 
 class CPU(MachineShell):
@@ -359,11 +364,24 @@ class CPU(MachineShell):
             self._sink.note_window()
 
     def _spill_windows(self, windows: list[int]) -> None:
-        """One overflow trap saving one or more windows (oldest first)."""
+        """One overflow trap saving one or more windows (oldest first), each
+        with one pack, or word by word where the save range would fault."""
+        memory = self.memory
         for window in windows:
-            for slot in self.regs.window_slots(window):
-                self._save_sp -= 4
-                self.memory.write(self._save_sp, self.regs.read_physical(slot), 4)
+            slots = self.regs.window_slots(window)
+            low = self._save_sp - 4 * len(slots)
+            if low < 0 or self._save_sp > memory.size or low & 3:
+                for slot in slots:
+                    self._save_sp -= 4
+                    memory.write(self._save_sp, self.regs.read_physical(slot), 4)
+                continue
+            values = self.regs._regs[slots[0] : slots[-1] + 1]
+            _SAVE_WINDOW.pack_into(memory._bytes, low, *reversed(values))
+            memory.stats.data_writes += len(slots)
+            if memory.write_watch is not None:
+                for address in range(self._save_sp - 4, low - 4, -4):
+                    memory.write_watch(address, 4)
+            self._save_sp = low
         self.stats.window_overflows += 1
         registers = self.timing.window_registers * len(windows)
         cycles = self.timing.trap_entry_cycles + registers * self.timing.memory_op_cycles
@@ -376,9 +394,18 @@ class CPU(MachineShell):
         self.stats.overflow_cycles += cycles
 
     def _fill_window(self, window: int) -> None:
-        for slot in reversed(self.regs.window_slots(window)):
-            self.regs.write_physical(slot, self.memory.read(self._save_sp, 4))
-            self._save_sp += 4
+        memory = self.memory
+        slots = self.regs.window_slots(window)
+        high = self._save_sp + 4 * len(slots)
+        if self._save_sp < 0 or high > memory.size or high & 3:
+            for slot in reversed(slots):
+                self.regs.write_physical(slot, memory.read(self._save_sp, 4))
+                self._save_sp += 4
+        else:
+            values = _SAVE_WINDOW.unpack_from(memory._bytes, self._save_sp)
+            self.regs._regs[slots[0] : slots[-1] + 1] = values[::-1]
+            memory.stats.data_reads += len(slots)
+            self._save_sp = high
         self.regs.note_fill()
         self.stats.window_underflows += 1
         if self._trace_window:

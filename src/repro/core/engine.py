@@ -2,61 +2,59 @@
 
 The reference interpreter (:meth:`repro.core.cpu.CPU.step`) re-fetches and
 re-decodes every instruction from memory, dispatches through a dict, and
-re-resolves register-window indices on every operand access.  That is the
-hottest path in the whole repository — every experiment, the farm and the
-profiler sit on top of it — and none of that work depends on anything but
-the instruction word itself.
+re-resolves register-window indices on every operand access — work that
+depends on nothing but the instruction word.  This engine does it once,
+on two tiers that share one run loop:
 
-This engine translates each instruction word of the loaded program, once,
-into a specialized closure:
+* the *per-word tier* translates each word of the loaded program, on its
+  first execution, into a specialized closure: operands resolved to
+  per-window physical-index tables, immediates and targets folded, the
+  opcode variant (immediate/register, SCC, jump condition) chosen;
+* the *block tier* runs hot straight-line code.  A block starts at a
+  restartable head (``npc == pc + 4``, no pending window change, no
+  latched interrupt) reached after a transfer's delay slot or another
+  block, and covers the ALU/``LDHI``/load/store instructions up to the
+  first ``JMP``/``JMPR``/``CALL``/``CALLR``/``RET`` and its delay slot.
+  After :data:`PROMOTE` visits to a head the block is generated as one
+  Python function over ``R[w[r]]`` (``w`` the current window's row of
+  physical indices), cached process-wide on the words it translates.  A
+  block never raises: before a misaligned or out-of-range access, a
+  store at or above the MMIO base or a store into a translated word it
+  returns with exact ``pc``/``npc``, and the per-word tier runs that
+  instruction.  See ``docs/ENGINE.md`` ("Two tiers").
 
-* operand register numbers are resolved to per-window physical-index
-  tables (one list lookup per access instead of three calls);
-* immediates, long-format targets (``JMPR``/``CALLR``/``LDHI``) and shift
-  amounts are sign-extended and folded at translation time;
-* the per-opcode variant (immediate vs. register operand, SCC vs. not,
-  jump condition) is chosen at translation time, not per step;
-* timing cost and opcode identity are kept in parallel arrays so the
-  run-to-halt loop does no dict or attribute lookups per step.
+Exactness is the contract: the same exit code, output, every
+:class:`~repro.core.stats.ExecutionStats` field, memory-traffic counter
+and tracer event as the reference loop (``tests/test_engine_diff.py`` and
+``tests/test_blocks.py`` check it differentially).  Counters are folded
+late, under one rule: per-word execution counts, per-block run and exit
+counts and a fetch counter are always kept, and folded into ``by_opcode``
+(and ``inst_fetches`` and the blocks' data traffic) when a word is
+recompiled or the loop exits.  A run is *observed* when a tracer kind is
+wanted or an ``on_execute`` hook is installed: observers read
+``instructions`` and ``cycles`` mid-run, so an observed run advances them
+per step where the reference loop does, and an unobserved run folds them
+too.  A uarch probe reads nothing mid-run: its run stays unobserved and
+appends each PC to the retire stream (:mod:`repro.uarch.sink`), drained
+between batches.  Observed and measured runs stay on the per-word tier.
 
-Exactness is the contract, not a goal: the engine must produce the same
-exit code, output, every :class:`~repro.core.stats.ExecutionStats` field,
-the same memory-traffic counters and an identical tracer event stream as
-the reference loop (``tests/test_engine_diff.py`` enforces this
-differentially on every bundled workload).  One inner loop keeps that
-cheap by folding counters late, under one rule:
-
-* per-word execution counts and a local fetch counter are always kept;
-  ``by_opcode`` is folded from the counts when a word is recompiled or
-  the loop exits, ``inst_fetches`` when the loop exits;
-* a run is *observed* when any tracer kind is wanted or an
-  ``on_execute`` hook is installed.  Observers read ``instructions`` and
-  ``cycles`` mid-run (event timestamps, hooks), so an observed run
-  advances those two per step, after the handler and before the RETIRE
-  event, exactly where the reference loop does; an unobserved run folds
-  them from the counts with ``by_opcode`` — nothing mid-run can see the
-  difference.  A uarch probe reads nothing mid-run: its run stays
-  unobserved and appends each PC to the probe's retire stream
-  (:mod:`repro.uarch.sink`), drained between batches of steps.
-
-Rare instructions that need interpreter state the engine does not model
-(``GTLPC``/``CALLINT`` read the previous PC), undecodable words, and
-out-of-range or misaligned PCs fall back to ``cpu.step()`` for that one
-step — semantics by construction.
-
-Self-modifying code is safe: stores from translated closures check the
-predecoded range inline, and a :attr:`Memory.write_watch` hook (installed
-for the duration of the run) catches every other accounted write — window
-spills and fallback-step stores included — invalidating the affected
-word so it is re-translated on next execution.
+``GTLPC``/``CALLINT`` (they read the previous PC), undecodable words and
+PCs outside the predecoded span fall back to ``cpu.step()`` for one step.
+Self-modifying code is safe: translated stores check the predecoded span
+inline and a :attr:`Memory.write_watch` hook catches every other write
+(window spills, fallback steps), so a written word — and any block over
+it — is translated again before it next runs.
 """
 
 from __future__ import annotations
 
+import struct
+from collections import OrderedDict, namedtuple
 from functools import lru_cache
 
-from repro.core.api import MachineHalted
-from repro.isa.conditions import Cond, ConditionCodes, cond_holds
+from repro.core.api import MMIO_BASE, MachineHalted
+from repro.core.cpu import CPU
+from repro.isa.conditions import CC_TABLE, Cond
 from repro.isa.encoding import EncodingError, Instruction, decode
 from repro.isa.opcodes import Opcode
 from repro.isa.registers import physical_index
@@ -66,6 +64,45 @@ from repro.machine.traps import Trap, TrapKind
 WORD = 0xFFFFFFFF
 SIGN = 0x80000000
 
+#: Each jump condition as a Python expression over condition codes ``cc``:
+#: the one table both tiers' conditional jumps are generated from.
+COND_TEST = {
+    Cond.NOP: "False", Cond.ALW: "True",
+    Cond.GT: "not cc.z and cc.n == cc.v", Cond.LE: "cc.z or cc.n != cc.v",
+    Cond.GE: "cc.n == cc.v", Cond.LT: "cc.n != cc.v",
+    Cond.HI: "cc.c and not cc.z", Cond.LOS: "not cc.c or cc.z",
+    Cond.HISC: "cc.c", Cond.LONC: "not cc.c",
+    Cond.PL: "not cc.n", Cond.MI: "cc.n",
+    Cond.NE: "not cc.z", Cond.EQ: "cc.z",
+    Cond.NV: "not cc.v", Cond.V: "cc.v",
+}
+
+#: ``_HOLDS[cond][i]``: whether ``cond`` holds for ``CC_TABLE[i]`` (a
+#: block tests the index its own SCC instruction computed)
+_HOLDS = {
+    cond: tuple(bool(eval(test, {}, {"cc": cc})) for cc in CC_TABLE)
+    for cond, test in COND_TEST.items()
+}
+
+#: The block tier's promotion rule: a head is translated on this visit.
+#: Translating costs about 45 us per instruction of the block and saves
+#: about 0.45 us per instruction run, so a block repays its translation
+#: after about 100 visits whatever its length (docs/ENGINE.md, "Two tiers").
+PROMOTE = 100
+#: Longest block, in instructions (a transfer and its delay slot may add one).
+MAX_BLOCK = 64
+#: Generated block functions kept process-wide; the least recently used
+#: is dropped first.
+CACHE_SIZE = 1024
+_CACHE: OrderedDict = OrderedDict()
+
+_LOGIC = {Opcode.AND: "&", Opcode.OR: "|", Opcode.XOR: "^"}
+_ALU_OPS = frozenset({Opcode.ADD, Opcode.SUB, Opcode.SLL, Opcode.SRL, Opcode.SRA, *_LOGIC})
+#: what a block may hold before its transfer and delay slot
+_STRAIGHT = _ALU_OPS | {Opcode.LDHI, *CPU._LOAD_SPEC, *CPU._STORE_SPEC}
+_TRANSFERS = frozenset({Opcode.JMP, Opcode.JMPR, Opcode.CALL, Opcode.CALLR, Opcode.RET})
+_STRUCTS = {width: struct.Struct(code) for width, code in ((1, ">B"), (2, ">H"), (4, ">I"))}
+
 
 @lru_cache(maxsize=None)
 def _window_maps(num_windows: int) -> tuple[tuple[int, ...], ...]:
@@ -74,6 +111,213 @@ def _window_maps(num_windows: int) -> tuple[tuple[int, ...], ...]:
         tuple(physical_index(window, reg, num_windows) for window in range(num_windows))
         for reg in range(32)
     )
+
+
+@lru_cache(maxsize=None)
+def _cond_test(cond: Cond):
+    """``test(cc) -> bool`` for one jump condition, from :data:`COND_TEST`."""
+    return eval(f"lambda cc: {COND_TEST[cond]}")
+
+
+# -- the block generator ------------------------------------------------------
+
+
+def _reg(reg: int) -> str:
+    """A visible register in a block: r0 is 0, globals are fixed slots."""
+    if not reg:
+        return "0"
+    return f"R[{reg}]" if reg < 10 else f"R[w[{reg}]]"
+
+
+def _sum(a: str, b: str) -> str:
+    """``(a + b) & WORD``, with a zero operand folded away."""
+    if b == "0":
+        return a
+    if a == "0":
+        return b
+    return f"({a} + {b}) & {WORD}"
+
+
+def _alu(op: Opcode, a: str, b: str) -> str:
+    """The 32-bit result of a register-register operation."""
+    if op is Opcode.ADD:
+        return _sum(a, b)
+    if op is Opcode.SUB:
+        return a if b == "0" else f"({a} - {b}) & {WORD}"
+    if op in _LOGIC:
+        return f"{a} {_LOGIC[op]} {b}"
+    amount = str(int(b) & 31) if b.isdigit() else f"({b} & 31)"
+    if op is Opcode.SLL:
+        return f"({a} << {amount}) & {WORD}"
+    if op is Opcode.SRL:
+        return f"{a} >> {amount}"
+    return f"((({a}) ^ {SIGN}) - {SIGN} >> {amount}) & {WORD}"  # sra
+
+
+def _alu_lines(op: Opcode, scc: bool, a: str, b: str, dest: str | None) -> list:
+    """Statements of one ALU instruction over operand expressions ``a``,
+    ``b`` and destination ``dest`` (``None`` for r0).  With SCC they also
+    leave the condition codes' :data:`CC_TABLE` index in ``c``."""
+    if not scc:
+        return [f"{dest} = {_alu(op, a, b)}"] if dest else []
+    flags = ""
+    if op is Opcode.ADD or op is Opcode.SUB:
+        lines = [f"x = {a}", f"y = {b}", f"r = x {'+' if op is Opcode.ADD else '-'} y",
+                 f"s = r & {WORD}"]
+        if op is Opcode.ADD:
+            flags = " | (r >> 32) << 1 | (~(x ^ y) & (x ^ s)) >> 31"
+        else:  # carry means "no borrow"
+            flags = " | (r >= 0) << 1 | ((x ^ y) & (x ^ s)) >> 31"
+    else:
+        lines = [f"s = {_alu(op, a, b)}"]
+    if dest:
+        lines.append(f"{dest} = s")
+    return lines + [f"c = (s == 0) << 3 | (s >> 31) << 2{flags}", "psw.cc = CC[c]"]
+
+
+#: the globals every generated function shares
+_GLOBALS = {
+    "CC": CC_TABLE,
+    "U32": _STRUCTS[4].unpack_from,
+    "U16": _STRUCTS[2].unpack_from,
+    "P32": _STRUCTS[4].pack_into,
+    "P16": _STRUCTS[2].pack_into,
+}
+
+
+def _define(source: str, name: str):
+    """Compile generated ``source`` and return the function ``name`` it defines."""
+    exec(compile(source, f"<{name}>", "exec"), _GLOBALS)
+    return _GLOBALS.pop(name)
+
+
+@lru_cache(maxsize=None)
+def _alu_factory(op: Opcode, scc: bool, imm: bool, dest: bool):
+    """``make(R, regs, psw, A, B, D) -> handler`` for one per-word ALU
+    variant, from the block generator's statements: ``A``, ``B`` and
+    ``D`` are per-window physical-index maps, ``B`` the value if ``imm``."""
+    body = _alu_lines(op, scc, "R[A[cwp]]", "B" if imm else "R[B[cwp]]",
+                      "R[D[cwp]]" if dest else None)
+    return _define(
+        "def make(R, regs, psw, A, B, D):\n    def run():\n        cwp = regs.cwp\n"
+        + "".join(f"        {line}\n" for line in body)
+        + "    return run\n",
+        "make",
+    )
+
+
+#: what a block's accounting needs, fixed by its words: ``last`` is the
+#: address of its last instruction, ``pend`` the CALL/RET window change
+#: applied after the delay slot, ``loads``/``stores`` flag each instruction
+_Shape = namedtuple("_Shape", "length last pend ops loads stores")
+
+
+def _translate(items: list, base: int, span: int, mem_size: int):
+    """``(function, shape)`` of the block of ``(address, instruction)``
+    items.  ``function(R, w, M, psw, stats, X)`` — registers, the window's
+    row, memory, PSW, stats, the engine's ``watch`` — returns ``(done, pc,
+    npc)``: the instructions it ran and where execution stands."""
+    lines = [
+        "def block(R, w, M, psw, stats, X, CC=CC, U32=U32, U16=U16, P32=P32, P16=P16):"
+    ]
+
+    def emit(line: str, depth: int = 1) -> None:
+        lines.append("    " * depth + line)
+
+    flags = False  # local ``c`` holds the index of this block's last SCC
+    jumped = False  # the transfer ran: ``t`` holds the delay slot's npc
+    pend = None
+    for done, (pc, inst) in enumerate(items):
+        op = inst.opcode
+        bail = f"return {done}, {pc}, {'t' if jumped else pc + 4}"
+        a = _reg(inst.rs1)
+        b = str(inst.s2 & WORD) if inst.imm else _reg(inst.s2)
+        dest = _reg(inst.dest) if inst.dest else None
+        if op in _TRANSFERS:
+            relative = op is Opcode.JMPR or op is Opcode.CALLR
+            target = str((pc + inst.y) & WORD) if relative else _sum(a, b)
+            cond = Cond(inst.dest & 0xF) if op in (Opcode.JMP, Opcode.JMPR) else Cond.ALW
+            if op is Opcode.RET:
+                pend = ("ret", 0, pc)
+            elif op in (Opcode.CALL, Opcode.CALLR):
+                pend = ("call", inst.dest, pc)
+            elif cond is Cond.ALW:
+                emit("stats.taken_jumps += 1")
+            elif cond is Cond.NOP:
+                emit("stats.untaken_jumps += 1")
+            else:
+                if flags:
+                    emit(f"if {_HOLDS[cond]}[c]:")
+                else:
+                    emit("cc = psw.cc")
+                    emit(f"if {COND_TEST[cond]}:")
+                emit("stats.taken_jumps += 1", 2)
+                emit(f"t = {target}", 2)
+                emit("else:")
+                emit("stats.untaken_jumps += 1", 2)
+                emit(f"t = {pc + 8}", 2)
+            if cond is Cond.ALW:
+                emit(f"t = {target}")
+            elif cond is Cond.NOP:
+                emit(f"t = {pc + 8}")
+            jumped = True
+        elif op is Opcode.LDHI:
+            if dest:
+                emit(f"{dest} = {(inst.y & 0x7FFFF) << 13}")
+        elif op in CPU._LOAD_SPEC or op in CPU._STORE_SPEC:
+            if op in CPU._LOAD_SPEC:
+                width, signed = CPU._LOAD_SPEC[op]
+                top = mem_size - width
+            else:
+                width = CPU._STORE_SPEC[op]
+                top = min(mem_size, MMIO_BASE) - width
+            emit(f"a = {_sum(a, b)}")
+            check = f"a > {top}"
+            if width > 1:
+                check = f"a & {width - 1} or {check}"
+            if op in CPU._STORE_SPEC:  # into a word translated here?
+                check += f" or 0 <= a - {base} < {span} and X[a - {base} >> 2]"
+            emit(f"if {check}:")
+            emit(bail, 2)
+            if op in CPU._STORE_SPEC:
+                value = _reg(inst.dest)
+                emit({4: f"P32(M, a, {value})", 2: f"P16(M, a, {value} & 65535)",
+                      1: f"M[a] = {value} & 255"}[width])
+            elif dest:
+                value = {4: "U32(M, a)[0]", 2: "U16(M, a)[0]", 1: "M[a]"}[width]
+                if signed:
+                    bit = 1 << (8 * width - 1)
+                    value = f"(({value}) ^ {bit}) - {bit} & {WORD}"
+                emit(f"{dest} = {value}")
+        else:
+            for line in _alu_lines(op, inst.scc, a, b, dest):
+                emit(line)
+            flags = flags or inst.scc
+    length = len(items)
+    if jumped:
+        emit(f"return {length}, t, t + 4")
+    else:
+        end = items[-1][0] + 4
+        emit(f"return {length}, {end}, {end + 4}")
+    ops = tuple(inst.opcode for _, inst in items)
+    shape = _Shape(length, items[-1][0], pend, ops, tuple(op in CPU._LOAD_SPEC for op in ops),
+                   tuple(op in CPU._STORE_SPEC for op in ops))
+    return _define("\n".join(lines), "block"), shape
+
+
+class _Block:
+    """A block installed in one engine: its function, shape and counts."""
+
+    __slots__ = ("run", "length", "last", "pend", "shape", "costs", "runs", "cuts")
+
+    def __init__(self, run, shape: _Shape, costs: tuple):
+        self.run = run
+        self.length, self.last, self.pend = shape.length, shape.last, shape.pend
+        self.shape = shape
+        self.costs = costs
+        #: full runs, and ``cuts[k]``: exits after the first ``k`` instructions
+        self.runs = 0
+        self.cuts = [0] * shape.length
 
 
 class PredecodedEngine:
@@ -102,9 +346,21 @@ class PredecodedEngine:
         self.insts: list = [None] * size
         #: per-word execution counts, folded into stats on flush
         self.counts = [0] * size
+        #: per-word block state: a block, ``False`` (never a block head) or
+        #: ``None``; ``heat`` counts a head's visits
+        self.blocks: list = [None] * size
+        self.heat = [0] * size
+        #: per word: the blocks covering it, plus one if it has a handler;
+        #: a block's store into a watched word exits to the per-word tier
+        self.watch = bytearray(size)
+        #: head -> installed block; every block ever installed, for folding
+        self.live: dict = {}
+        self.installed: list = []
         #: set by :meth:`run`: observed runs keep instructions/cycles per step
         self.observed = False
         self.maps = _window_maps(cpu.regs.num_windows)
+        #: ``rows[cwp][reg]``: a block's ``w``
+        self.rows = tuple(zip(*self.maps))
 
     # -- bookkeeping -------------------------------------------------------
 
@@ -123,14 +379,45 @@ class PredecodedEngine:
         for idx, count in enumerate(self.counts):
             if count:
                 self._flush(idx)
+        stats = self.cpu.stats
+        traffic = self.cpu.memory.stats
+        for block in self.installed:
+            # instruction i ran in every full run and every exit after it
+            executed = block.runs
+            shape = block.shape
+            for i in reversed(range(block.length)):
+                if executed:
+                    stats.instructions += executed
+                    stats.cycles += executed * block.costs[i]
+                    stats.by_opcode[shape.ops[i]] += executed
+                    traffic.inst_fetches += executed
+                    traffic.data_reads += executed * shape.loads[i]
+                    traffic.data_writes += executed * shape.stores[i]
+                executed += block.cuts[i]
+            block.runs = 0
+            block.cuts = [0] * block.length
 
     def _note_write(self, address: int, width: int = 4) -> None:
         """Invalidate the predecoded word covering a written address."""
         offset = address - self.base
         if 0 <= offset < self.span:
             idx = offset >> 2
-            self._flush(idx)
-            self.handlers[idx] = None
+            if self.handlers[idx] is not None:
+                self._flush(idx)
+                self.handlers[idx] = None
+                self.watch[idx] -= 1
+            if self.watch[idx]:
+                self._drop_blocks(idx)
+
+    def _drop_blocks(self, idx: int) -> None:
+        """Uninstall every block covering word ``idx`` (its counts stay)."""
+        for head, block in list(self.live.items()):
+            if head <= idx < head + block.length:
+                del self.live[head]
+                self.blocks[head] = None
+                self.heat[head] = 0
+                for word in range(head, head + block.length):
+                    self.watch[word] -= 1
 
     # -- translation -------------------------------------------------------
 
@@ -142,13 +429,13 @@ class PredecodedEngine:
         word = int.from_bytes(cpu.memory._bytes[address : address + 4], "big")
         try:
             inst = decode(word)
+            handler = self._make_handler(inst, address)
         except EncodingError:
             # the reference loop raises EncodingError from the decoder;
             # falling back reproduces that exactly
-            self.handlers[idx] = False
-            return False
-        handler = self._make_handler(inst, address)
+            handler = False
         self.handlers[idx] = handler
+        self.watch[idx] += 1
         if handler is not False:
             if cpu._sink is not None:  # a measured run: see repro.uarch.sink
                 cpu._sink.describe(address, word, inst)
@@ -157,6 +444,67 @@ class PredecodedEngine:
             self.names[idx] = inst.opcode.name
             self.insts[idx] = inst
         return handler
+
+    def _shape(self, idx: int) -> list:
+        """``(address, instruction)`` items of the block headed at word
+        ``idx``: straight-line instructions up to the first transfer and
+        its delay slot.  A transfer whose slot is not straight-line, or
+        any other opcode, ends the block before it."""
+        words = len(self.handlers)
+        address = self.base + (idx << 2)
+        items: list = []
+        while idx < words and len(items) < MAX_BLOCK:
+            try:
+                inst = self._decoded(idx)
+                slot = None
+                if inst.opcode in _TRANSFERS and idx + 1 < words:
+                    slot = self._decoded(idx + 1)
+            except EncodingError:
+                break
+            if slot is not None and slot.opcode in _STRAIGHT:
+                items += [(address, inst), (address + 4, slot)]
+            if inst.opcode not in _STRAIGHT:
+                break
+            items.append((address, inst))
+            idx += 1
+            address += 4
+        return items
+
+    def _decoded(self, idx: int) -> Instruction:
+        """The instruction at word ``idx``, as the per-word tier decoded it."""
+        if self.handlers[idx]:
+            return self.insts[idx]
+        address = self.base + (idx << 2)
+        return decode(int.from_bytes(self.cpu.memory._bytes[address : address + 4], "big"))
+
+    def _promote(self, idx: int, visits: int):
+        """A head's second visit, or its :data:`PROMOTE`-th: returns its
+        block if its translation is cached, or once it is due."""
+        items = self._shape(idx)
+        if not items:
+            self.blocks[idx] = False
+            return None
+        memory = self.cpu.memory
+        start = items[0][0]
+        key = (start, bytes(memory._bytes[start : items[-1][0] + 4]), memory.size,
+               self.base, self.span)
+        entry = _CACHE.get(key)
+        if entry is not None:
+            _CACHE.move_to_end(key)
+        elif visits < PROMOTE:
+            return None
+        else:
+            entry = _CACHE[key] = _translate(items, self.base, self.span, memory.size)
+            if len(_CACHE) > CACHE_SIZE:
+                _CACHE.popitem(last=False)
+        run, shape = entry
+        timing = self.cpu.timing
+        block = _Block(run, shape, tuple(timing.instruction_cycles(op) for op in shape.ops))
+        self.blocks[idx] = self.live[idx] = block
+        self.installed.append(block)
+        for word in range(idx, idx + block.length):
+            self.watch[word] += 1
+        return block
 
     def _make_handler(self, inst: Instruction, pc: int):
         """Build the specialized closure for one decoded instruction.
@@ -186,111 +534,10 @@ class PredecodedEngine:
             bval = 0
         scc = inst.scc
 
-        # arithmetic / logic -------------------------------------------------
-        if op is Opcode.ADD:
-            if scc:
-                def run():
-                    cwp = regs.cwp
-                    a = _regs[amap[cwp]]
-                    b = bval if bmap is None else _regs[bmap[cwp]]
-                    raw = a + b
-                    result = raw & WORD
-                    if dmap is not None:
-                        _regs[dmap[cwp]] = result
-                    psw.cc = ConditionCodes(
-                        result == 0,
-                        result >= SIGN,
-                        raw > WORD,
-                        bool(~(a ^ b) & (a ^ result) & SIGN),
-                    )
-            elif dmap is None:
-                def run():  # add r0, ... — the canonical nop
-                    return None
-            else:
-                def run():
-                    cwp = regs.cwp
-                    b = bval if bmap is None else _regs[bmap[cwp]]
-                    _regs[dmap[cwp]] = (_regs[amap[cwp]] + b) & WORD
-            return run
-
-        if op is Opcode.SUB:
-            if scc:
-                def run():
-                    cwp = regs.cwp
-                    a = _regs[amap[cwp]]
-                    b = bval if bmap is None else _regs[bmap[cwp]]
-                    raw = a - b
-                    result = raw & WORD
-                    if dmap is not None:
-                        _regs[dmap[cwp]] = result
-                    psw.cc = ConditionCodes(
-                        result == 0,
-                        result >= SIGN,
-                        raw >= 0,  # carry means "no borrow"
-                        bool((a ^ b) & (a ^ result) & SIGN),
-                    )
-            elif dmap is None:
-                def run():
-                    return None
-            else:
-                def run():
-                    cwp = regs.cwp
-                    b = bval if bmap is None else _regs[bmap[cwp]]
-                    _regs[dmap[cwp]] = (_regs[amap[cwp]] - b) & WORD
-            return run
-
-        if op in (Opcode.AND, Opcode.OR, Opcode.XOR):
-            if op is Opcode.AND:
-                combine = int.__and__
-            elif op is Opcode.OR:
-                combine = int.__or__
-            else:
-                combine = int.__xor__
-            if scc:
-                def run():
-                    cwp = regs.cwp
-                    b = bval if bmap is None else _regs[bmap[cwp]]
-                    result = combine(_regs[amap[cwp]], b)
-                    if dmap is not None:
-                        _regs[dmap[cwp]] = result
-                    psw.cc = ConditionCodes(result == 0, result >= SIGN, False, False)
-            elif dmap is None:
-                def run():
-                    return None
-            else:
-                def run():
-                    cwp = regs.cwp
-                    b = bval if bmap is None else _regs[bmap[cwp]]
-                    _regs[dmap[cwp]] = combine(_regs[amap[cwp]], b)
-            return run
-
-        if op in (Opcode.SLL, Opcode.SRL, Opcode.SRA):
-            kind = op
-            shift = bval & 31 if bmap is None else 0
-
-            def compute(cwp):
-                a = _regs[amap[cwp]]
-                amount = shift if bmap is None else _regs[bmap[cwp]] & 31
-                if kind is Opcode.SLL:
-                    return (a << amount) & WORD
-                if kind is Opcode.SRL:
-                    return a >> amount
-                return ((a - ((a & SIGN) << 1)) >> amount) & WORD  # sra
-
-            if scc:
-                def run():
-                    cwp = regs.cwp
-                    result = compute(cwp)
-                    if dmap is not None:
-                        _regs[dmap[cwp]] = result
-                    psw.cc = ConditionCodes(result == 0, result >= SIGN, False, False)
-            else:
-                def run():
-                    cwp = regs.cwp
-                    result = compute(cwp)
-                    if dmap is not None:
-                        _regs[dmap[cwp]] = result
-            return run
+        # arithmetic / logic, from the block generator's statements ---------
+        if op in _ALU_OPS:
+            make = _alu_factory(op, scc, inst.imm, bool(dest))
+            return make(_regs, regs, psw, amap, bval if inst.imm else bmap, dmap)
 
         # carry/reverse arithmetic is rare in compiled code; delegating to
         # the interpreter's handler (decode/dispatch already paid) keeps
@@ -314,6 +561,7 @@ class PredecodedEngine:
             width, signed = cpu._LOAD_SPEC[op]
             sign_bit = 1 << (width * 8 - 1)
             sign_span = 1 << (width * 8)
+            unpack = _STRUCTS[width].unpack_from
 
             def run():
                 cwp = regs.cwp
@@ -329,7 +577,7 @@ class PredecodedEngine:
                         f"access of {width} byte(s) at {address:#x} exceeds {mem_size:#x}",
                         pc=pc,
                     )
-                value = int.from_bytes(mem_bytes[address : address + width], "big")
+                value = unpack(mem_bytes, address)[0]
                 mem_stats.data_reads += 1
                 if signed and value & sign_bit:
                     value -= sign_span
@@ -344,7 +592,7 @@ class PredecodedEngine:
             width = cpu._STORE_SPEC[op]
             value_map = maps[dest]  # source operand; r0 reads physical 0 (= 0)
             value_mask = (1 << (width * 8)) - 1
-            mmio_base = 0x7F000000
+            pack = _STRUCTS[width].pack_into
             code_base = self.base
             code_end = self.base + self.span
             note_write = self._note_write
@@ -354,7 +602,7 @@ class PredecodedEngine:
                 b = bval if bmap is None else _regs[bmap[cwp]]
                 address = (_regs[amap[cwp]] + b) & WORD
                 value = _regs[value_map[cwp]]
-                if address >= mmio_base:
+                if address >= MMIO_BASE:
                     cpu._mmio_store(address, value, width, pc)
                     return None
                 if width != 1 and address % width:
@@ -367,9 +615,7 @@ class PredecodedEngine:
                         f"access of {width} byte(s) at {address:#x} exceeds {mem_size:#x}",
                         pc=pc,
                     )
-                mem_bytes[address : address + width] = (value & value_mask).to_bytes(
-                    width, "big"
-                )
+                pack(mem_bytes, address, value & value_mask)
                 mem_stats.data_writes += 1
                 if code_base <= address < code_end:
                     note_write(address, width)  # self-modifying code
@@ -378,22 +624,39 @@ class PredecodedEngine:
 
             return run
 
-        # control ------------------------------------------------------------
+        # control: a taken jump returns its target, an untaken one False -----
         if op is Opcode.JMPR:
-            return self._make_relative_jump(Cond(dest & 0xF), (pc + inst.y) & WORD)
+            target = (pc + inst.y) & WORD
+            cond = Cond(dest & 0xF)
+            if cond is Cond.ALW:
+                def run():
+                    stats.taken_jumps += 1
+                    return target
+
+                return run
+            test = _cond_test(cond)
+
+            def run():
+                if test(psw.cc):
+                    stats.taken_jumps += 1
+                    return target
+                stats.untaken_jumps += 1
+                return False
+
+            return run
 
         if op is Opcode.JMP:
-            cond = Cond(dest & 0xF)
+            test = _cond_test(Cond(dest & 0xF))
 
             def run():
                 cwp = regs.cwp
                 b = bval if bmap is None else _regs[bmap[cwp]]
                 target = (_regs[amap[cwp]] + b) & WORD
-                if cond_holds(cond, psw.cc):
+                if test(psw.cc):
                     stats.taken_jumps += 1
                     return target
                 stats.untaken_jumps += 1
-                return None
+                return False
 
             return run
 
@@ -407,19 +670,8 @@ class PredecodedEngine:
 
             return run
 
-        if op is Opcode.CALL:
-            pend = ("call", dest, pc)
-
-            def run():
-                cwp = regs.cwp
-                b = bval if bmap is None else _regs[bmap[cwp]]
-                cpu._pending = pend
-                return (_regs[amap[cwp]] + b) & WORD
-
-            return run
-
-        if op is Opcode.RET:
-            pend = ("ret", 0, pc)
+        if op is Opcode.CALL or op is Opcode.RET:
+            pend = ("call", dest, pc) if op is Opcode.CALL else ("ret", 0, pc)
 
             def run():
                 cwp = regs.cwp
@@ -452,62 +704,6 @@ class PredecodedEngine:
         # interpreter's problem too (it raises the illegal-instruction
         # trap exactly as the reference does)
         return False
-
-    def _make_relative_jump(self, cond: Cond, target: int):
-        """A JMPR closure with the condition test specialized per condition."""
-        psw = self.cpu.psw
-        stats = self.cpu.stats
-
-        if cond is Cond.ALW:
-            def run():
-                stats.taken_jumps += 1
-                return target
-
-            return run
-
-        if cond is Cond.NOP:
-            def run():
-                stats.untaken_jumps += 1
-                return None
-
-            return run
-
-        # the compiler emits only a handful of condition tests; inline the
-        # common ones as direct condition-code reads
-        if cond is Cond.EQ:
-            def test():
-                return psw.cc.z
-        elif cond is Cond.NE:
-            def test():
-                return not psw.cc.z
-        elif cond is Cond.LT:
-            def test():
-                cc = psw.cc
-                return cc.n != cc.v
-        elif cond is Cond.GE:
-            def test():
-                cc = psw.cc
-                return cc.n == cc.v
-        elif cond is Cond.GT:
-            def test():
-                cc = psw.cc
-                return not cc.z and cc.n == cc.v
-        elif cond is Cond.LE:
-            def test():
-                cc = psw.cc
-                return cc.z or cc.n != cc.v
-        else:
-            def test():
-                return cond_holds(cond, psw.cc)
-
-        def run():
-            if test():
-                stats.taken_jumps += 1
-                return target
-            stats.untaken_jumps += 1
-            return None
-
-        return run
 
     # -- the run loop ------------------------------------------------------
 
@@ -544,15 +740,30 @@ class PredecodedEngine:
         record = sink.buf.append if sink is not None else None
         # a measured run drains the sink's buffer between batches of steps
         batch = sink.chunk if sink is not None else limit
+        # blocks run where nothing watches single steps; ``head`` is the
+        # PC after the last transfer's delay slot (-1: never a head)
+        hot = not observed and sink is None
+        blocks = self.blocks
+        heat = self.heat
+        promote = self._promote
+        promote_at = PROMOTE
+        regs = cpu.regs
+        R = regs._regs
+        rows = self.rows
+        mem = memory._bytes
+        watch = self.watch
         pc = cpu.pc
         npc = cpu.npc
         last_pc = cpu._last_pc
+        head = pc if hot else -1
         fetches = 0
         previous_watch = memory.write_watch
         memory.write_watch = self._note_write
         try:
             while limit > 0:
-                steps = min(limit, batch)
+                # a hot run keeps half its budget outside the batch: a
+                # block runs many steps in one iteration, drawn from it
+                steps = (limit + 1) >> 1 if hot else min(limit, batch)
                 limit -= steps
                 for _ in range(steps):
                     if cpu._interrupt_request is not None:
@@ -566,6 +777,56 @@ class PredecodedEngine:
                             cpu._deliver_interrupt()
                             pc = cpu.pc
                             npc = cpu.npc
+                    if pc == head:
+                        offset = pc - base
+                        if (
+                            npc == pc + 4
+                            and 0 <= offset < span
+                            and not offset & 3
+                            and cpu._pending is None
+                            and cpu._interrupt_request is None
+                        ):
+                            idx = offset >> 2
+                            block = blocks[idx]
+                            if block is None:
+                                visits = heat[idx] = heat[idx] + 1
+                                if visits >= promote_at or visits == 2:
+                                    block = promote(idx, visits)
+                            if block and block.length <= limit + 1:
+                                done, pc, npc = block.run(
+                                    R, rows[regs.cwp], mem, psw, stats, watch
+                                )
+                                if done == block.length:
+                                    if block.pend is not None:
+                                        # the delay slot ran: rotate the window
+                                        target = pc
+                                        pc = cpu.pc = block.last
+                                        npc = cpu.npc = target
+                                        try:
+                                            cpu._apply_window_change(block.pend)
+                                        except Trap:
+                                            # the slot ran, but never retired
+                                            block.cuts[done - 1] += 1
+                                            fetches += 1
+                                            memory.stats.data_reads += block.shape.loads[-1]
+                                            memory.stats.data_writes += block.shape.stores[-1]
+                                            last_pc = pc - 4
+                                            raise
+                                        pc = target
+                                        npc = target + 4
+                                    block.runs += 1
+                                    limit -= done - 1
+                                    last_pc = block.last
+                                    head = pc
+                                    continue
+                                # an exit: the per-word tier runs the next
+                                # instruction, in this same iteration
+                                block.cuts[done] += 1
+                                limit -= done
+                                if done:
+                                    last_pc = pc - 4
+                                    if done == block.length - 1:
+                                        cpu._pending = block.pend
                     offset = pc - base
                     if 0 <= offset < span and not offset & 3:
                         idx = offset >> 2
@@ -633,7 +894,11 @@ class PredecodedEngine:
                         pc = npc
                         npc = pc + 4
                     else:
+                        if target is False:  # an untaken jump
+                            target = npc + 4
                         pc, npc = npc, target
+                        if hot:
+                            head = target
                 if sink is not None:
                     sink.drain()
         finally:

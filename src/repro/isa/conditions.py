@@ -35,6 +35,13 @@ class ConditionCodes:
         )
 
 
+#: The 16 possible condition codes, interned for the fast engine:
+#: ``CC_TABLE[z << 3 | n << 2 | c << 1 | v]``.
+CC_TABLE = tuple(
+    ConditionCodes(bool(i & 8), bool(i & 4), bool(i & 2), bool(i & 1)) for i in range(16)
+)
+
+
 class Cond(enum.IntEnum):
     """The 16 jump conditions (4-bit encoding in the DEST field)."""
 

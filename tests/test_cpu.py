@@ -412,3 +412,82 @@ class TestMisc:
         _, result = run(source)
         # gtlpc executes at entry+4; the last completed pc was entry (0x1000).
         assert result.exit_code == 0x1000
+
+
+def _spill_word_by_word(cpu, windows):
+    for window in windows:
+        for slot in cpu.regs.window_slots(window):
+            cpu._save_sp -= 4
+            cpu.memory.write(cpu._save_sp, cpu.regs.read_physical(slot), 4)
+
+
+def _fill_word_by_word(cpu, window):
+    for slot in reversed(cpu.regs.window_slots(window)):
+        cpu.regs.write_physical(slot, cpu.memory.read(cpu._save_sp, 4))
+        cpu._save_sp += 4
+
+
+class TestWindowSpillAndFill:
+    """The CPU moves a window with one pack/unpack; it must leave exactly
+    what a word-by-word spill and fill leave, watch calls and traps included."""
+
+    def _pair(self, save_sp=None):
+        import random
+
+        rng = random.Random(22)
+        values = [rng.randrange(1 << 32) for _ in range(len(CPU(num_windows=4).regs._regs))]
+        cpus = []
+        for _ in range(2):
+            cpu = CPU(memory_size=1 << 12, num_windows=4)
+            cpu.regs._regs[:] = values
+            if save_sp is not None:
+                cpu._save_sp = save_sp
+            watched = []
+            cpu.memory.write_watch = lambda address, width, log=watched: log.append(
+                (address, width)
+            )
+            cpus.append((cpu, watched))
+        return cpus
+
+    @staticmethod
+    def _state(cpu, watched, trap=None):
+        return (
+            bytes(cpu.memory._bytes), cpu.memory.stats, cpu._save_sp,
+            list(cpu.regs._regs), watched, trap and (trap.kind, trap.detail),
+        )
+
+    @pytest.mark.parametrize("windows", [[1], [2, 3, 0]])
+    def test_spill_then_fill_matches(self, windows):
+        (bulk, bulk_log), (words, words_log) = self._pair()
+        bulk._spill_windows(windows)
+        _spill_word_by_word(words, windows)
+        assert self._state(bulk, bulk_log) == self._state(words, words_log)
+        for cpu, _ in ((bulk, bulk_log), (words, words_log)):
+            cpu.regs._regs[10:] = [0] * (len(cpu.regs._regs) - 10)
+        for window in reversed(windows):
+            bulk._fill_window(window)
+            _fill_word_by_word(words, window)
+        assert self._state(bulk, bulk_log) == self._state(words, words_log)
+        assert bulk._save_sp == 1 << 12
+
+    @pytest.mark.parametrize("save_sp", [40, (1 << 12) - 2, 1 << 13])
+    def test_faulting_spill_traps_on_the_same_word(self, save_sp):
+        (bulk, bulk_log), (words, words_log) = self._pair(save_sp)
+        with pytest.raises(Trap) as bulk_trap:
+            bulk._spill_windows([1])
+        with pytest.raises(Trap) as words_trap:
+            _spill_word_by_word(words, [1])
+        assert self._state(bulk, bulk_log, bulk_trap.value) == self._state(
+            words, words_log, words_trap.value
+        )
+
+    @pytest.mark.parametrize("save_sp", [(1 << 12) - 32, -8, 2])
+    def test_faulting_fill_traps_on_the_same_word(self, save_sp):
+        (bulk, bulk_log), (words, words_log) = self._pair(save_sp)
+        with pytest.raises(Trap) as bulk_trap:
+            bulk._fill_window(1)
+        with pytest.raises(Trap) as words_trap:
+            _fill_word_by_word(words, 1)
+        assert self._state(bulk, bulk_log, bulk_trap.value) == self._state(
+            words, words_log, words_trap.value
+        )

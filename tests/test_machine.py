@@ -229,3 +229,33 @@ class TestTrapPickling:
         copy = pickle.loads(pickle.dumps(StepLimitExceeded(7, pc=8, stats=stats)))
         assert (copy.limit, copy.pc, copy.kind) == (7, 8, TrapKind.HALT)
         assert copy.stats.instructions == 7
+
+    @pytest.mark.parametrize("machine", ["risc1", "cisc"])
+    def test_step_limit_carries_the_cut_runs_pipeline(self, machine):
+        import pickle
+
+        from repro.baselines.vax.cpu import VaxCPU
+        from repro.cc.driver import compile_program
+        from repro.core.api import StepLimitExceeded
+        from repro.core.cpu import CPU
+        from repro.workloads import ALL_WORKLOADS
+
+        source = ALL_WORKLOADS["towers"].source()
+        program = compile_program(source, target=machine).program
+        make = CPU if machine == "risc1" else VaxCPU
+        cpu = make()
+        cpu.load(program)
+        with pytest.raises(StepLimitExceeded) as excinfo:
+            cpu.run(max_steps=500, uarch="not_taken/none")
+        pipeline = excinfo.value.pipeline
+        assert pipeline is not None and pipeline.instructions == 500
+        copy = pickle.loads(pickle.dumps(excinfo.value))
+        assert copy.pipeline.to_dict() == pipeline.to_dict()
+        assert copy.stats.to_dict() == excinfo.value.stats.to_dict()
+        # without a probe there is nothing to carry
+        plain = make()
+        plain.load(program)
+        with pytest.raises(StepLimitExceeded) as excinfo:
+            plain.run(max_steps=500)
+        assert excinfo.value.pipeline is None
+        assert pickle.loads(pickle.dumps(excinfo.value)).pipeline is None
