@@ -30,13 +30,14 @@ and tracer event as the reference loop (``tests/test_engine_diff.py`` and
 late, under one rule: per-word execution counts, per-block run and exit
 counts and a fetch counter are always kept, and folded into ``by_opcode``
 (and ``inst_fetches`` and the blocks' data traffic) when a word is
-recompiled or the loop exits.  A run is *observed* when a tracer kind is
-wanted or an ``on_execute`` hook is installed: observers read
-``instructions`` and ``cycles`` mid-run, so an observed run advances them
-per step where the reference loop does, and an unobserved run folds them
-too.  A uarch probe reads nothing mid-run: its run stays unobserved and
-appends each PC to the retire stream (:mod:`repro.uarch.sink`), drained
-between batches.  Observed and measured runs stay on the per-word tier.
+recompiled, a block is uninstalled or the loop exits.  A run is
+*observed* when a tracer kind is wanted or an ``on_execute`` hook is
+installed: observers read ``instructions`` and ``cycles`` mid-run, so an
+observed run advances them per step where the reference loop does, and
+an unobserved run folds them too.  A uarch probe reads nothing mid-run:
+its run stays unobserved and appends each PC to the retire stream
+(:mod:`repro.uarch.sink`), drained between batches.  Observed and
+measured runs stay on the per-word tier.
 
 ``GTLPC``/``CALLINT`` (they read the previous PC), undecodable words and
 PCs outside the predecoded span fall back to ``cpu.step()`` for one step.
@@ -49,6 +50,7 @@ it — is translated again before it next runs.
 from __future__ import annotations
 
 import struct
+import threading
 from collections import OrderedDict, namedtuple
 from functools import lru_cache
 
@@ -58,7 +60,6 @@ from repro.isa.conditions import CC_TABLE, Cond
 from repro.isa.encoding import EncodingError, Instruction, decode
 from repro.isa.opcodes import Opcode
 from repro.isa.registers import physical_index
-from repro.machine.memory import MemoryError_
 from repro.machine.traps import Trap, TrapKind
 
 WORD = 0xFFFFFFFF
@@ -85,16 +86,17 @@ _HOLDS = {
 }
 
 #: The block tier's promotion rule: a head is translated on this visit.
-#: Translating costs about 45 us per instruction of the block and saves
+#: Translating costs about 52 us per instruction of the block and saves
 #: about 0.45 us per instruction run, so a block repays its translation
 #: after about 100 visits whatever its length (docs/ENGINE.md, "Two tiers").
 PROMOTE = 100
 #: Longest block, in instructions (a transfer and its delay slot may add one).
 MAX_BLOCK = 64
 #: Generated block functions kept process-wide; the least recently used
-#: is dropped first.
+#: is dropped first.  Engines in several threads share it, under the lock.
 CACHE_SIZE = 1024
 _CACHE: OrderedDict = OrderedDict()
+_CACHE_LOCK = threading.Lock()
 
 _LOGIC = {Opcode.AND: "&", Opcode.OR: "|", Opcode.XOR: "^"}
 _ALU_OPS = frozenset({Opcode.ADD, Opcode.SUB, Opcode.SLL, Opcode.SRL, Opcode.SRA, *_LOGIC})
@@ -175,7 +177,7 @@ def _alu_lines(op: Opcode, scc: bool, a: str, b: str, dest: str | None) -> list:
     return lines + [f"c = (s == 0) << 3 | (s >> 31) << 2{flags}", "psw.cc = CC[c]"]
 
 
-#: the globals every generated function shares
+#: the globals every generated function shares (read only)
 _GLOBALS = {
     "CC": CC_TABLE,
     "U32": _STRUCTS[4].unpack_from,
@@ -186,9 +188,11 @@ _GLOBALS = {
 
 
 def _define(source: str, name: str):
-    """Compile generated ``source`` and return the function ``name`` it defines."""
-    exec(compile(source, f"<{name}>", "exec"), _GLOBALS)
-    return _GLOBALS.pop(name)
+    """Compile generated ``source`` and return the function ``name`` it
+    defines, in a namespace of its own (translation may run in threads)."""
+    namespace: dict = {}
+    exec(compile(source, f"<{name}>", "exec"), _GLOBALS, namespace)
+    return namespace[name]
 
 
 @lru_cache(maxsize=None)
@@ -353,9 +357,8 @@ class PredecodedEngine:
         #: per word: the blocks covering it, plus one if it has a handler;
         #: a block's store into a watched word exits to the per-word tier
         self.watch = bytearray(size)
-        #: head -> installed block; every block ever installed, for folding
+        #: head -> installed block
         self.live: dict = {}
-        self.installed: list = []
         #: set by :meth:`run`: observed runs keep instructions/cycles per step
         self.observed = False
         self.maps = _window_maps(cpu.regs.num_windows)
@@ -375,27 +378,31 @@ class PredecodedEngine:
                 stats.cycles += count * self.costs[idx]
             stats.by_opcode[self.ops[idx]] += count
 
+    def _fold(self, block: _Block) -> None:
+        """Fold one block's counted runs and exits into the CPU stats."""
+        stats = self.cpu.stats
+        traffic = self.cpu.memory.stats
+        # instruction i ran in every full run and every exit after it
+        executed = block.runs
+        shape = block.shape
+        for i in reversed(range(block.length)):
+            if executed:
+                stats.instructions += executed
+                stats.cycles += executed * block.costs[i]
+                stats.by_opcode[shape.ops[i]] += executed
+                traffic.inst_fetches += executed
+                traffic.data_reads += executed * shape.loads[i]
+                traffic.data_writes += executed * shape.stores[i]
+            executed += block.cuts[i]
+        block.runs = 0
+        block.cuts = [0] * block.length
+
     def _flush_all(self) -> None:
         for idx, count in enumerate(self.counts):
             if count:
                 self._flush(idx)
-        stats = self.cpu.stats
-        traffic = self.cpu.memory.stats
-        for block in self.installed:
-            # instruction i ran in every full run and every exit after it
-            executed = block.runs
-            shape = block.shape
-            for i in reversed(range(block.length)):
-                if executed:
-                    stats.instructions += executed
-                    stats.cycles += executed * block.costs[i]
-                    stats.by_opcode[shape.ops[i]] += executed
-                    traffic.inst_fetches += executed
-                    traffic.data_reads += executed * shape.loads[i]
-                    traffic.data_writes += executed * shape.stores[i]
-                executed += block.cuts[i]
-            block.runs = 0
-            block.cuts = [0] * block.length
+        for block in self.live.values():
+            self._fold(block)
 
     def _note_write(self, address: int, width: int = 4) -> None:
         """Invalidate the predecoded word covering a written address."""
@@ -410,9 +417,12 @@ class PredecodedEngine:
                 self._drop_blocks(idx)
 
     def _drop_blocks(self, idx: int) -> None:
-        """Uninstall every block covering word ``idx`` (its counts stay)."""
-        for head, block in list(self.live.items()):
-            if head <= idx < head + block.length:
+        """Uninstall every block covering word ``idx``, folding its counts."""
+        # a block holds at most MAX_BLOCK + 1 words
+        for head in range(max(idx - MAX_BLOCK, 0), idx + 1):
+            block = self.blocks[head]
+            if block and idx < head + block.length:
+                self._fold(block)
                 del self.live[head]
                 self.blocks[head] = None
                 self.heat[head] = 0
@@ -488,20 +498,22 @@ class PredecodedEngine:
         start = items[0][0]
         key = (start, bytes(memory._bytes[start : items[-1][0] + 4]), memory.size,
                self.base, self.span)
-        entry = _CACHE.get(key)
-        if entry is not None:
-            _CACHE.move_to_end(key)
-        elif visits < PROMOTE:
-            return None
-        else:
-            entry = _CACHE[key] = _translate(items, self.base, self.span, memory.size)
-            if len(_CACHE) > CACHE_SIZE:
-                _CACHE.popitem(last=False)
+        with _CACHE_LOCK:
+            entry = _CACHE.get(key)
+            if entry is not None:
+                _CACHE.move_to_end(key)
+        if entry is None:
+            if visits < PROMOTE:
+                return None
+            entry = _translate(items, self.base, self.span, memory.size)
+            with _CACHE_LOCK:
+                _CACHE[key] = entry
+                while len(_CACHE) > CACHE_SIZE:
+                    _CACHE.popitem(last=False)
         run, shape = entry
         timing = self.cpu.timing
         block = _Block(run, shape, tuple(timing.instruction_cycles(op) for op in shape.ops))
         self.blocks[idx] = self.live[idx] = block
-        self.installed.append(block)
         for word in range(idx, idx + block.length):
             self.watch[word] += 1
         return block
@@ -567,16 +579,8 @@ class PredecodedEngine:
                 cwp = regs.cwp
                 b = bval if bmap is None else _regs[bmap[cwp]]
                 address = (_regs[amap[cwp]] + b) & WORD
-                if width != 1 and address % width:
-                    raise MemoryError_(
-                        TrapKind.ALIGNMENT, f"{width}-byte access at {address:#x}", pc=pc
-                    )
-                if address + width > mem_size:
-                    raise MemoryError_(
-                        TrapKind.BUS_ERROR,
-                        f"access of {width} byte(s) at {address:#x} exceeds {mem_size:#x}",
-                        pc=pc,
-                    )
+                if width != 1 and address % width or address + width > mem_size:
+                    return cpu._load(inst, pc)  # the reference raises the trap
                 value = unpack(mem_bytes, address)[0]
                 mem_stats.data_reads += 1
                 if signed and value & sign_bit:
@@ -605,16 +609,8 @@ class PredecodedEngine:
                 if address >= MMIO_BASE:
                     cpu._mmio_store(address, value, width, pc)
                     return None
-                if width != 1 and address % width:
-                    raise MemoryError_(
-                        TrapKind.ALIGNMENT, f"{width}-byte access at {address:#x}", pc=pc
-                    )
-                if address + width > mem_size:
-                    raise MemoryError_(
-                        TrapKind.BUS_ERROR,
-                        f"access of {width} byte(s) at {address:#x} exceeds {mem_size:#x}",
-                        pc=pc,
-                    )
+                if width != 1 and address % width or address + width > mem_size:
+                    return cpu._store(inst, pc)  # the reference raises the trap
                 pack(mem_bytes, address, value & value_mask)
                 mem_stats.data_writes += 1
                 if code_base <= address < code_end:
@@ -765,7 +761,7 @@ class PredecodedEngine:
                 # block runs many steps in one iteration, drawn from it
                 steps = (limit + 1) >> 1 if hot else min(limit, batch)
                 limit -= steps
-                for _ in range(steps):
+                for i in range(steps):
                     if cpu._interrupt_request is not None:
                         if (
                             psw.interrupts_enabled
@@ -797,6 +793,7 @@ class PredecodedEngine:
                                     R, rows[regs.cwp], mem, psw, stats, watch
                                 )
                                 if done == block.length:
+                                    block.runs += 1
                                     if block.pend is not None:
                                         # the delay slot ran: rotate the window
                                         target = pc
@@ -806,15 +803,16 @@ class PredecodedEngine:
                                             cpu._apply_window_change(block.pend)
                                         except Trap:
                                             # the slot ran, but never retired
+                                            block.runs -= 1
                                             block.cuts[done - 1] += 1
                                             fetches += 1
                                             memory.stats.data_reads += block.shape.loads[-1]
                                             memory.stats.data_writes += block.shape.stores[-1]
                                             last_pc = pc - 4
+                                            self._fold(block)  # a spill may have dropped it
                                             raise
                                         pc = target
                                         npc = target + 4
-                                    block.runs += 1
                                     limit -= done - 1
                                     last_pc = block.last
                                     head = pc
@@ -827,6 +825,11 @@ class PredecodedEngine:
                                     last_pc = pc - 4
                                     if done == block.length - 1:
                                         cpu._pending = block.pend
+                            elif block and block.length <= ((limit + steps - i) >> 1) + 1:
+                                # a new split leaves the block room: hand back
+                                # the batch's unused iterations
+                                limit += steps - i
+                                break
                     offset = pc - base
                     if 0 <= offset < span and not offset & 3:
                         idx = offset >> 2

@@ -11,6 +11,9 @@ suites with every block translated.
 """
 
 import random
+import time
+from collections import OrderedDict
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
 import pytest
@@ -39,17 +42,22 @@ def promote(request, monkeypatch):
 
 @pytest.fixture
 def tally(monkeypatch):
-    """Full block runs and block exits of every fast run, summed."""
-    seen = {"runs": 0, "exits": 0}
-    original = engine.PredecodedEngine._flush_all
+    """Full block runs, block exits and per-word steps of every fast run,
+    summed."""
+    seen = {"runs": 0, "exits": 0, "words": 0}
+    fold, flush = engine.PredecodedEngine._fold, engine.PredecodedEngine._flush
 
-    def flush_all(self):
-        for block in self.installed:
-            seen["runs"] += block.runs
-            seen["exits"] += sum(block.cuts)
-        original(self)
+    def counted_fold(self, block):
+        seen["runs"] += block.runs
+        seen["exits"] += sum(block.cuts)
+        fold(self, block)
 
-    monkeypatch.setattr(engine.PredecodedEngine, "_flush_all", flush_all)
+    def counted_flush(self, idx):
+        seen["words"] += self.counts[idx]
+        flush(self, idx)
+
+    monkeypatch.setattr(engine.PredecodedEngine, "_fold", counted_fold)
+    monkeypatch.setattr(engine.PredecodedEngine, "_flush", counted_flush)
     return seen
 
 
@@ -114,6 +122,28 @@ loop:
     jne loop
 slot:
     add r6, r6, #1
+    halt r6
+"""
+
+#: a loop of the longest block, whose delay slot is patched between passes
+LONGEST_BLOCK = """
+main:
+    set r2, slot
+    ldl r4, 0(r2)
+    add r7, r0, #2
+outer:
+    add r5, r0, #3
+loop:
+    sub! r5, r5, #1
+{adds}
+    jne loop
+slot:
+    add r6, r6, #1
+    add r4, r4, #1
+    stl r4, 0(r2)
+    sub! r7, r7, #1
+    jne outer
+    nop
     halt r6
 """
 
@@ -274,6 +304,15 @@ class TestBlockExits:
         if promote == 1:
             assert tally["exits"]
 
+    def test_store_into_the_slot_of_the_longest_block(self, promote, tally):
+        # ``loop`` is MAX_BLOCK - 1 straight instructions, its jump and the
+        # slot; code after the loop patches the slot, then reruns the loop
+        program = assemble(LONGEST_BLOCK.format(adds="\n".join(
+            ["    add r6, r6, #2"] * (engine.MAX_BLOCK - 2))))
+        assert assert_same(program)[0] == "halt"
+        if promote == 1:
+            assert tally["exits"]
+
     def test_mmio_stores_in_delay_slots(self, promote, tally):
         end = assert_same(assemble(MMIO_IN_DELAY_SLOTS))
         assert end == ("halt", 72, "BCDEFG")
@@ -309,9 +348,29 @@ class TestBlockExits:
         if promote == 1:
             assert tally["runs"]
 
+    def test_budget_bound_run_stays_on_the_block_tier(self, monkeypatch, tally):
+        monkeypatch.setattr(engine, "PROMOTE", 1)
+        program = assemble(COUNTED_LOOP)
+        assert assert_same(program, max_steps=250)[0] == "limit"
+        # the per-word tier runs only the budget's last few steps
+        assert tally["words"] <= 16
+
     @pytest.mark.parametrize("windows", [2, 3, 8])
     def test_calls_that_overflow_and_returns_that_underflow(self, promote, tally, windows):
         assert assert_same(assemble(RECURSION), windows=windows) == ("halt", 45, "")
+        if promote == 1:
+            assert tally["runs"]
+
+    @pytest.mark.parametrize("windows", [2, 8])
+    def test_spill_over_the_running_block(self, promote, tally, windows):
+        # the code sits at the top of memory, where the register-save stack
+        # starts: the first overflow spills over the block of its CALL
+        program = assemble(RECURSION)
+        code = program.segments[0]
+        base = CPU().memory.size - len(code.data)
+        moved = replace(program, segments=(replace(code, base=base),),
+                        entry=program.entry - code.base + base)
+        assert assert_same(moved, windows=windows)[0] == "encoding"
         if promote == 1:
             assert tally["runs"]
 
@@ -449,6 +508,46 @@ def test_cache_is_bounded(monkeypatch):
     monkeypatch.setattr(engine, "_CACHE", type(engine._CACHE)())
     assert_same(compile_program(ALL_WORKLOADS["towers"].source(), target="risc1").program)
     assert len(engine._CACHE) == 4
+
+
+class _YieldingCache(OrderedDict):
+    """A block cache that gives up the GIL after each lookup."""
+
+    def get(self, key, default=None):
+        entry = super().get(key, default)
+        time.sleep(1e-4)
+        return entry
+
+
+def _yielding_exec(code, *namespaces):
+    """``exec`` that gives up the GIL once the code has run."""
+    exec(code, *namespaces)
+    time.sleep(1e-4)
+
+
+def test_engines_in_threads_share_the_cache(monkeypatch):
+    """Engines in several threads translate, look up and evict at once;
+    each thread yields between a lookup or a definition and what follows."""
+    monkeypatch.setattr(engine, "PROMOTE", 1)
+    monkeypatch.setattr(engine, "CACHE_SIZE", 8)  # evictions race with lookups
+    monkeypatch.setattr(engine, "_CACHE", _YieldingCache())
+    monkeypatch.setattr(engine, "exec", _yielding_exec, raising=False)
+    engine._alu_factory.cache_clear()
+    programs = [soup(seed)[0] for seed in range(4)] + [
+        compile_program(ALL_WORKLOADS[name].source(), target="risc1").program
+        for name in ("towers", "qsort")
+    ]
+    expected = [run(program, "reference", max_steps=20_000) for program in programs]
+
+    def runs(order):
+        return [(i, run(programs[i], "fast", max_steps=20_000)) for i in order]
+
+    with ThreadPoolExecutor(4) as pool:
+        orders = [random.Random(t).sample(range(len(programs)), len(programs))
+                  for t in range(8)]
+        results = [result for batch in pool.map(runs, orders) for result in batch]
+    for i, result in results:
+        assert result == expected[i]
 
 
 def test_condition_table_matches_the_reference():
