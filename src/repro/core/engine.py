@@ -35,9 +35,13 @@ recompiled, a block is uninstalled or the loop exits.  A run is
 installed: observers read ``instructions`` and ``cycles`` mid-run, so an
 observed run advances them per step where the reference loop does, and
 an unobserved run folds them too.  A uarch probe reads nothing mid-run:
-its run stays unobserved and appends each PC to the retire stream
-(:mod:`repro.uarch.sink`), drained between batches.  Observed and
-measured runs stay on the per-word tier.
+its run stays unobserved, on both tiers, and feeds the retire stream
+(:mod:`repro.uarch.sink`), drained between batches of at most
+``sink.chunk`` iterations.  The per-word tier appends each PC; a block
+appends one record for each run, ``head | done << 32`` (its head and the
+instructions it ran, an exit's prefix included), after describing its
+words to the sink when it is installed.  Observed runs stay on the
+per-word tier.
 
 ``GTLPC``/``CALLINT`` (they read the previous PC), undecodable words and
 PCs outside the predecoded span fall back to ``cpu.step()`` for one step.
@@ -511,6 +515,11 @@ class PredecodedEngine:
                 while len(_CACHE) > CACHE_SIZE:
                     _CACHE.popitem(last=False)
         run, shape = entry
+        sink = self.cpu._sink
+        if sink is not None:  # a measured run: its block records name these words
+            code = key[1]
+            for i, (address, inst) in enumerate(items):
+                sink.describe(address, int.from_bytes(code[4 * i : 4 * i + 4], "big"), inst)
         timing = self.cpu.timing
         block = _Block(run, shape, tuple(timing.instruction_cycles(op) for op in shape.ops))
         self.blocks[idx] = self.live[idx] = block
@@ -734,11 +743,12 @@ class PredecodedEngine:
         compile_word = self._compile_word
         sink = cpu._sink
         record = sink.buf.append if sink is not None else None
-        # a measured run drains the sink's buffer between batches of steps
+        # a measured run drains the sink's buffer between batches of
+        # iterations, each appending a few records at most
         batch = sink.chunk if sink is not None else limit
         # blocks run where nothing watches single steps; ``head`` is the
         # PC after the last transfer's delay slot (-1: never a head)
-        hot = not observed and sink is None
+        hot = not observed
         blocks = self.blocks
         heat = self.heat
         promote = self._promote
@@ -759,7 +769,7 @@ class PredecodedEngine:
             while limit > 0:
                 # a hot run keeps half its budget outside the batch: a
                 # block runs many steps in one iteration, drawn from it
-                steps = (limit + 1) >> 1 if hot else min(limit, batch)
+                steps = min((limit + 1) >> 1 if hot else limit, batch)
                 limit -= steps
                 for i in range(steps):
                     if cpu._interrupt_request is not None:
@@ -792,6 +802,9 @@ class PredecodedEngine:
                                 done, pc, npc = block.run(
                                     R, rows[regs.cwp], mem, psw, stats, watch
                                 )
+                                if done and record is not None:
+                                    # one retire record: the run, or an exit's prefix
+                                    record(head | done << 32)
                                 if done == block.length:
                                     block.runs += 1
                                     if block.pend is not None:

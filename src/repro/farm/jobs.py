@@ -38,9 +38,10 @@ _MODULES_BY_KIND = {
     "compile": ("isa", "machine", "asm", "cc", "baselines", "core"),
     "execute": ("isa", "machine", "asm", "cc", "baselines", "core"),
     "ir": ("isa", "machine", "asm", "cc", "baselines", "core"),
-    # differential fuzz jobs run every engine, so every module matters —
-    # plus the generator itself (a grammar change renames every artifact)
-    "fuzz": ("isa", "machine", "asm", "cc", "baselines", "core", "fuzz"),
+    # differential fuzz jobs run every engine and the pipeline model, so
+    # every module matters — plus the generator itself (a grammar change
+    # renames every artifact)
+    "fuzz": ("isa", "machine", "asm", "cc", "baselines", "core", "uarch", "fuzz"),
 }
 
 
@@ -56,7 +57,8 @@ def toolchain_fingerprint() -> dict[str, str]:
 
     root = Path(repro.__file__).parent
     stamps: dict[str, str] = {"repro": _package_version()}
-    for module in ("isa", "machine", "core", "asm", "cc", "baselines", "workloads", "fuzz"):
+    for module in ("isa", "machine", "core", "asm", "cc", "baselines", "workloads", "uarch",
+                   "fuzz"):
         digest = hashlib.sha256()
         base = root / module
         for path in sorted(base.rglob("*")):

@@ -38,8 +38,10 @@ from repro.fuzz.minimize import MinimizeError, minimize_seed
 _ORACLE_MACHINE = {
     "risc-ref": ("risc1", "reference"),
     "risc-fast": ("risc1", "fast"),
+    "risc-fast-uarch": ("risc1", "fast"),
     "vax-ref": ("cisc", "reference"),
     "vax-fast": ("cisc", "fast"),
+    "vax-fast-uarch": ("cisc", "fast"),
     "ir": ("ir", "ir"),
 }
 

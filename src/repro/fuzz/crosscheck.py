@@ -1,23 +1,30 @@
 """Run one program on every execution oracle and compare the results.
 
-The harness compiles a program **once per target** and then runs five
+The harness compiles a program **once per target** and then runs seven
 oracles over the two images:
 
-========  =========================================================
-name      what it exercises
-========  =========================================================
-risc-ref  RISC I plain ``step()`` interpreter (the semantics anchor)
-risc-fast RISC I :class:`~repro.core.engine.PredecodedEngine`
-vax-ref   VAX baseline plain ``step()`` interpreter
-vax-fast  VAX baseline :class:`~repro.baselines.vax.engine.VaxEngine`
-ir        the IR-level interpreter (:mod:`repro.cc.irvm`)
-========  =========================================================
+=============== ==================================================
+name            what it exercises
+=============== ==================================================
+risc-ref        RISC I plain ``step()`` interpreter (the semantics
+                anchor), measured by the pipeline model
+risc-fast       RISC I :class:`~repro.core.engine.PredecodedEngine`
+risc-fast-uarch the same engine, measured by the pipeline model
+vax-ref         VAX baseline plain ``step()`` interpreter, measured
+vax-fast        VAX baseline :class:`~repro.baselines.vax.engine.VaxEngine`
+vax-fast-uarch  the same engine, measured by the pipeline model
+ir              the IR-level interpreter (:mod:`repro.cc.irvm`)
+=============== ==================================================
 
 Two contracts are checked:
 
-* **same machine, different engine** (risc-ref vs risc-fast, vax-ref vs
-  vax-fast): bit-identical — outcome, exit code, console output and the
-  *entire* ``stats.to_dict()`` must match field for field;
+* **same machine, different engine** (risc-ref vs risc-fast and
+  risc-fast-uarch, likewise for the VAX): bit-identical — outcome, exit
+  code, console output and the *entire* ``stats.to_dict()`` must match
+  field for field, and a measured pair its whole ``PipelineStats``
+  (``StepLimitExceeded.pipeline`` on a step limit) too.  The measured
+  runs replay the retire stream (:mod:`repro.uarch.sink`), which the
+  RISC I engine's block tier feeds one record per block run;
 * **different machines** (risc-ref vs vax-ref vs ir): semantic — exit
   code and console output must match whenever both runs halted (the
   machines legitimately disagree about stats, and a step-limited run has
@@ -48,12 +55,17 @@ REPORT_SCHEMA = 1
 #: worth a divergence-grade look, so limits are never silently equal.
 DEFAULT_MAX_STEPS = 2_000_000
 
-ORACLES = ("risc-ref", "risc-fast", "vax-ref", "vax-fast", "ir")
+ORACLES = ("risc-ref", "risc-fast", "risc-fast-uarch", "vax-ref", "vax-fast",
+           "vax-fast-uarch", "ir")
 
-#: Same-machine pairs: full bit-identical contract.
+#: Same-machine pairs: full bit-identical contract, over these records.
+UNMEASURED = ("stats",)
+MEASURED = ("stats", "pipeline")
 ENGINE_PAIRS = (
-    ("risc-ref", "risc-fast", "risc1: reference vs predecoded engine"),
-    ("vax-ref", "vax-fast", "vax: reference vs translating engine"),
+    ("risc-ref", "risc-fast", "risc1: reference vs predecoded engine", UNMEASURED),
+    ("risc-ref", "risc-fast-uarch", "risc1: measured reference vs predecoded engine", MEASURED),
+    ("vax-ref", "vax-fast", "vax: reference vs translating engine", UNMEASURED),
+    ("vax-ref", "vax-fast-uarch", "vax: measured reference vs translating engine", MEASURED),
 )
 
 #: Cross-machine pairs: exit code + console only.
@@ -185,7 +197,7 @@ class CrossCheckReport:
             if run is None:
                 continue
             lines.append(
-                f"  {name:9s} outcome={run['outcome']:<12s} exit={run['exit_code']!s:>6s}"
+                f"  {name:15s} outcome={run['outcome']:<12s} exit={run['exit_code']!s:>6s}"
                 f" out_sha={run['output_sha'] or '-'} steps={run['instructions']}"
             )
         if self.compile_error:
@@ -198,10 +210,17 @@ class CrossCheckReport:
 # -- running the oracles -----------------------------------------------------
 
 
-def _run_machine_oracle(compiled, engine: str, max_steps: int) -> dict:
-    """One machine run, folded into the comparable oracle-result shape."""
+def _pipeline(stats) -> dict | None:
+    return stats.to_dict() if stats is not None else None
+
+
+def _run_machine_oracle(compiled, engine: str, max_steps: int, uarch: bool = False) -> dict:
+    """One machine run, folded into the comparable oracle-result shape;
+    ``uarch`` measures it with the default pipeline model."""
     try:
-        result = run_compiled(compiled, max_steps=max_steps, engine=engine, record=False)
+        result = run_compiled(
+            compiled, max_steps=max_steps, engine=engine, record=False, uarch=uarch
+        )
         return {
             "outcome": "halt",
             "exit_code": result.exit_code,
@@ -209,6 +228,7 @@ def _run_machine_oracle(compiled, engine: str, max_steps: int) -> dict:
             "output_sha": _sha(result.output),
             "instructions": result.stats.instructions,
             "stats": result.stats.to_dict(),
+            "pipeline": _pipeline(result.pipeline),
         }
     except StepLimitExceeded as exc:
         return {
@@ -218,6 +238,7 @@ def _run_machine_oracle(compiled, engine: str, max_steps: int) -> dict:
             "output_sha": None,
             "instructions": getattr(exc.stats, "instructions", None),
             "stats": exc.stats.to_dict() if exc.stats is not None else None,
+            "pipeline": _pipeline(exc.pipeline),
         }
     except Trap as exc:
         return {
@@ -227,6 +248,7 @@ def _run_machine_oracle(compiled, engine: str, max_steps: int) -> dict:
             "output_sha": None,
             "instructions": None,
             "stats": None,
+            "pipeline": None,
         }
     except RecursionError:
         return _error_result("RecursionError")
@@ -242,6 +264,7 @@ def _error_result(detail: str) -> dict:
         "output_sha": None,
         "instructions": None,
         "stats": None,
+        "pipeline": None,
     }
 
 
@@ -262,16 +285,18 @@ def _run_ir_oracle(ir_program) -> dict:
         return _error_result(f"{type(exc).__name__}: {exc}")
 
 
-def _compare_engine_pair(left: dict, right: dict) -> dict[str, tuple[Any, Any]]:
-    """Bit-identical contract: outcome, exit, console, full stats."""
+def _compare_engine_pair(left: dict, right: dict, records) -> dict[str, tuple[Any, Any]]:
+    """Bit-identical contract: outcome, exit, console, and every field of
+    ``records`` (full stats, and pipeline stats for a measured pair)."""
     fields: dict[str, tuple[Any, Any]] = {}
     for key in ("outcome", "exit_code", "output"):
         if left[key] != right[key]:
             fields[key] = (left[key], right[key])
-    if left["stats"] != right["stats"]:
-        fields.update(
-            {f"stats.{k}": v for k, v in _dict_diff(left["stats"] or {}, right["stats"] or {}).items()}
-        )
+    for key in records:
+        if left[key] != right[key]:
+            fields.update(
+                {f"{key}.{k}": v for k, v in _dict_diff(left[key] or {}, right[key] or {}).items()}
+            )
     return fields
 
 
@@ -296,7 +321,7 @@ def crosscheck_source(
     max_steps: int = DEFAULT_MAX_STEPS,
 ) -> CrossCheckReport:
     """Compile ``source`` (one front end, both targets) and cross-check all
-    five oracles."""
+    seven oracles."""
     report = CrossCheckReport(
         source_sha=_sha(source), seed=seed, profile=profile, max_steps=max_steps
     )
@@ -310,15 +335,17 @@ def crosscheck_source(
         return report
 
     report.oracles = {
-        "risc-ref": _run_machine_oracle(risc, "reference", max_steps),
+        "risc-ref": _run_machine_oracle(risc, "reference", max_steps, uarch=True),
         "risc-fast": _run_machine_oracle(risc, "fast", max_steps),
-        "vax-ref": _run_machine_oracle(vax, "reference", max_steps),
+        "risc-fast-uarch": _run_machine_oracle(risc, "fast", max_steps, uarch=True),
+        "vax-ref": _run_machine_oracle(vax, "reference", max_steps, uarch=True),
         "vax-fast": _run_machine_oracle(vax, "fast", max_steps),
+        "vax-fast-uarch": _run_machine_oracle(vax, "fast", max_steps, uarch=True),
         "ir": _run_ir_oracle(ir_program),
     }
 
-    for left, right, check in ENGINE_PAIRS:
-        fields = _compare_engine_pair(report.oracles[left], report.oracles[right])
+    for left, right, check, records in ENGINE_PAIRS:
+        fields = _compare_engine_pair(report.oracles[left], report.oracles[right], records)
         if fields:
             report.divergences.append(Divergence(check, "engine", left, right, fields))
     for left, right, check in CROSS_PAIRS:

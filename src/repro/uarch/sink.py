@@ -5,16 +5,21 @@ The engines' loops and the reference ``step()`` loops append compact
 records to a bounded ``array`` buffer, and the sink replays it into
 every attached :class:`~repro.uarch.pipeline.PipelineModel` once per
 :data:`CHUNK` steps.  RISC I records each PC as the instruction starts,
-and a negative marker (new CWP, handler cycles) when the window rotates;
-the VAX records each PC and the data-reference count so far as the
-instruction starts, so the next record (or the count when the buffer is
-drained, always between two instructions) gives its exact cycles.
+one ``head | done << 32`` record per run of a block of the fast engine
+(the ``done`` instructions from ``head`` on, all in one window), and a
+negative marker (new CWP, handler cycles) when the window rotates, after
+the record of the instruction whose rotation it is; the VAX records each
+PC and the data-reference count so far as the instruction starts, so the
+next record (or the count when the buffer is drained, always between two
+instructions) gives its exact cycles.
 
 Register reads and writes, class, delay-slot kind, static target and
 fall-through depend only on an instruction's bytes: they are computed
-once per PC — when an engine translates it, or by ``step()`` — and kept
-with those bytes.  A PC is re-described with new bytes only after the
-buffer is drained, so self-modifying code replays exactly.
+once per PC — when an engine translates it or installs a block over it,
+or by ``step()`` — and kept with those bytes.  A block record expands to
+a tuple of rows built once per (record, CWP) and kept in a span cache.
+A PC is re-described with new bytes only after the buffer is drained,
+and that clears the span cache, so self-modifying code replays exactly.
 
 A run whose only observer is the sink keeps the engines' unobserved
 fold rule.  When a model's tracer wants ``PIPE_STALL``, the sink chains
@@ -41,6 +46,8 @@ __all__ = ["CHUNK", "RiscRetireSink", "VaxRetireSink", "open_sink"]
 CHUNK = 4096
 
 WORD = 0xFFFFFFFF
+#: RISC I records at or above this are block runs: ``head | done << 32``
+BLOCK = 1 << 32
 
 #: VAX branches that need a prediction (brb/brw always branch)
 _VAX_CONDITIONAL = frozenset(BRANCH_CONDITIONS) - {"brb", "brw"}
@@ -56,6 +63,9 @@ class RetireSink:
         self.buf = array("q")
         #: pc -> (the instruction bytes, its descriptor)
         self.table: dict = {}
+        #: rows built from several descriptors at once (RISC I's blocks),
+        #: stale once any PC is re-described
+        self.spans: dict = {}
         if cpu._sink is not None:
             raise RuntimeError("a retire sink is already attached to this machine")
         cpu._sink = self
@@ -97,6 +107,7 @@ class RetireSink:
             if known[0] == key:
                 return
             self.drain()
+            self.spans.clear()
         self.table[pc] = (key, self._classify(pc, *args))
 
 
@@ -175,24 +186,39 @@ class RiscRetireSink(RetireSink):
         row[cwp] = entry = Retire(pc, shared(reads, reads), shared(writes, writes), *flags)
         return entry
 
+    def _span(self, record: int, cwp: int) -> tuple:
+        """The :data:`Retire` rows of a block record run in window ``cwp``."""
+        table, resolve = self.table, self._resolve
+        head = record & WORD
+        rows = [table[pc][1] for pc in range(head, head + 4 * (record >> 32), 4)]
+        span = self.spans[record * self.windows + cwp] = tuple(
+            row[cwp] or resolve(row, cwp) for row in rows
+        )
+        return span
+
     def _entries(self, buf) -> list:
         table = self.table
+        spans = self.spans
         cwp = self.cwp
         windows = self.windows
         cycles = self.window_cycles
         chunk = []
         append = chunk.append
+        extend = chunk.extend
         for record in buf:
-            if record >= 0:
-                if cycles:
-                    append(cycles)
-                    cycles = 0
-                row = table[record][1]
-                append(row[cwp] or self._resolve(row, cwp))
-            else:
+            if record < 0:
                 marker = -1 - record
                 cwp = marker % windows
                 cycles += marker // windows
+                continue
+            if cycles:
+                append(cycles)
+                cycles = 0
+            if record < BLOCK:
+                row = table[record][1]
+                append(row[cwp] or self._resolve(row, cwp))
+            else:
+                extend(spans.get(record * windows + cwp) or self._span(record, cwp))
         self.cwp = cwp
         self.window_cycles = cycles
         return chunk

@@ -6,8 +6,11 @@ engine twice — with :data:`repro.core.engine.PROMOTE` patched to 1, so
 every head is translated on its first visit, and at its default — and
 compares the result, the trap kind and PC, and the full ``snapshot()``
 (stats, registers, memory, ``pc``/``npc``/``last_pc``/pending) with the
-reference ``step()`` loop.  The last classes rerun existing differential
-suites with every block translated.
+reference ``step()`` loop.  Measured runs use the block tier too, one
+retire record per block run: their cases also compare what the five
+pipeline models of ``standard_sweep()`` report, however the run ended.
+The last classes rerun existing differential suites with every block
+translated.
 """
 
 import random
@@ -28,6 +31,8 @@ from repro.fuzz.instructions import random_instruction
 from repro.isa.encoding import EncodingError, Instruction, encode
 from repro.isa.opcodes import Opcode
 from repro.machine.traps import Trap, TrapKind
+from repro.uarch import PipelineModel, standard_sweep
+from repro.uarch.sink import open_sink
 from repro.workloads import ALL_WORKLOADS
 from tests import test_engine_diff as diff
 from tests import test_retire_stream as retire
@@ -61,22 +66,33 @@ def tally(monkeypatch):
     return seen
 
 
-def run(program, engine_name, *, windows=8, max_steps=100_000, interrupt=None):
-    """Run to the end; ``(how it ended, snapshot)``."""
+def run(program, engine_name, *, windows=8, max_steps=100_000, interrupt=None,
+        uarch=None, models=None):
+    """Run to the end; ``(how it ended, snapshot)``.  A run measured with
+    ``uarch`` ends a step limit with the limit's pipeline stats; one
+    measured by ``models`` adds their stats, finished however it ended."""
     cpu = CPU(num_windows=windows)
     cpu.load(program)
     if interrupt is not None:
         cpu.raise_interrupt(program.symbol(interrupt))
+    sink = open_sink(cpu, models) if models is not None else None
     try:
-        result = cpu.run(max_steps=max_steps, engine=engine_name)
+        result = cpu.run(max_steps=max_steps, engine=engine_name, uarch=uarch)
         end = ("halt", result.exit_code, result.output)
     except StepLimitExceeded as exc:
         end = ("limit", exc.pc)
+        if exc.pipeline is not None:
+            end += (exc.pipeline.to_dict(),)
     except Trap as trap:
         end = ("trap", trap.kind, trap.pc)
     except EncodingError as exc:
         end = ("encoding", str(exc))
-    return end, cpu.snapshot()
+    finally:
+        if sink is not None:
+            sink.close()
+    if sink is None:
+        return end, cpu.snapshot()
+    return end, cpu.snapshot(), [stats.to_dict() for stats in sink.finish()]
 
 
 def assert_same(program, **kwargs):
@@ -85,6 +101,20 @@ def assert_same(program, **kwargs):
     fast = run(program, "fast", **kwargs)
     assert fast[0] == reference[0]
     assert fast[1] == reference[1]
+    return reference[0]
+
+
+def assert_measured_same(program, **kwargs):
+    """Fast and reference agree, measured by the five models of
+    ``standard_sweep()`` on one retire stream; returns how the run ended."""
+    reference, fast = (
+        run(program, name, models=[PipelineModel(config) for config in standard_sweep()],
+            **kwargs)
+        for name in ("reference", "fast")
+    )
+    assert fast[0] == reference[0]
+    assert fast[1] == reference[1]
+    assert fast[2] == reference[2]
     return reference[0]
 
 
@@ -267,6 +297,38 @@ next:
     halt r6
 """
 
+#: ``patch`` starts as ``add r6, r6, #1``: the loop's block runs three
+#: passes, the code after the loop stores ``newinst`` (an ``ldl``) over
+#: that word, and the same block, at the same head and length, runs three
+#: passes more
+PATCH_BETWEEN_PASSES = """
+main:
+    set r2, patch
+    set r3, newinst
+    ldl r4, 0(r3)
+    add r7, r0, #2
+outer:
+    add r5, r0, #3
+    jmp loop
+    nop
+loop:
+    add r8, r6, #2
+patch:
+    add r6, r6, #1
+    add r9, r8, r6
+    sub! r5, r5, #1
+    jne loop
+    nop
+    stl r4, 0(r2)
+    sub! r7, r7, #1
+    jne outer
+    nop
+    halt r6
+.data
+newinst: .word LDL
+cell: .word 9
+"""
+
 #: recursion deep enough to overflow and underflow any small window file
 RECURSION = """
 main:
@@ -420,6 +482,60 @@ class TestBlockExits:
         assert end == ("halt", 4 + 5 + r7 + r8, "")
         if promote == 1:
             assert tally["runs"]
+
+
+class TestMeasuredBlocks:
+    """Measured runs on the block tier: each block run or exit's prefix
+    is one retire record, and the stream replays as the reference's."""
+
+    def test_patch_under_a_cached_block_changes_its_descriptor(self, promote, tally):
+        # the block's record is the same number before and after the patch
+        ldl = encode(Instruction.short(Opcode.LDL, dest=6, rs1=3, s2=4, imm=True))
+        end = assert_measured_same(assemble(PATCH_BETWEEN_PASSES.replace("LDL", str(ldl))))
+        assert end == ("halt", 9, "")
+        if promote == 1:
+            assert tally["runs"] >= 6
+
+    @pytest.mark.parametrize("windows", [2, 8])
+    def test_calls_that_overflow_and_returns_that_underflow(self, promote, tally, windows):
+        # the window marker of a CALL or RET in a block's slot follows the
+        # block's record
+        end = assert_measured_same(assemble(RECURSION), windows=windows)
+        assert end == ("halt", 45, "")
+        if promote == 1:
+            assert tally["runs"]
+
+    def test_faulting_load_mid_block(self, promote, tally):
+        program = assemble(BAD_POINTER.replace("BAD", "cell + 2"))
+        end = assert_measured_same(program)
+        assert end == ("trap", TrapKind.ALIGNMENT, program.symbol("loop") + 8)
+        if promote == 1:
+            assert tally["runs"] and tally["exits"]
+
+    def test_budget_ends_inside_a_block(self, promote, tally):
+        program = assemble(COUNTED_LOOP)
+        for budget in range(1, 120):
+            end = assert_same(program, max_steps=budget, uarch=True)
+            assert end[0] == "limit" and end[2]["instructions"] == budget
+        if promote == 1:
+            assert tally["runs"]
+
+    def test_measured_suite_runs_on_blocks(self, tally):
+        # at the default threshold: a silent fall-back to the per-word
+        # tier would still replay the golden numbers, but run no block
+        for name in retire.WORKLOADS:
+            case = f"sweep/risc1/{name}"
+            assert retire.digest(retire.CASES[case]("fast")) == retire.golden()[case]
+        assert tally["runs"]
+
+
+@pytest.mark.parametrize("chunk", [1, 7])
+@pytest.mark.parametrize(
+    "case", [case for case in retire.CHUNK_CASES if not case.startswith(("sweep/cisc", "vax"))]
+)
+def test_chunk_size_is_invisible_every_block(case, chunk, monkeypatch):
+    monkeypatch.setattr(engine, "PROMOTE", 1)
+    retire.test_chunk_size_is_invisible(case, "fast", chunk, monkeypatch)
 
 
 # -- a seeded soup of random instruction sequences ------------------------------

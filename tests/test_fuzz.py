@@ -54,6 +54,15 @@ class TestCrossCheck:
         assert again.to_dict() == report.to_dict()
         assert "ok" in report.render()
 
+    def test_measured_oracles_agree_on_the_pipeline(self):
+        report = crosscheck_seed(1, max_steps=2_000_000)
+        assert report.ok
+        for machine in ("risc", "vax"):
+            reference = report.oracles[f"{machine}-ref"]["pipeline"]
+            assert reference is not None and reference["instructions"]
+            assert report.oracles[f"{machine}-fast-uarch"]["pipeline"] == reference
+            assert report.oracles[f"{machine}-fast"]["pipeline"] is None
+
     def test_divergence_signature_is_stable(self):
         div = Divergence(
             check="risc-ref-vs-vax-ref",
