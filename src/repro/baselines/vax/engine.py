@@ -1,59 +1,68 @@
 """Translating fast execution engine for the VAX-like baseline.
 
 The reference interpreter (:meth:`repro.baselines.vax.cpu.VaxCPU.step`)
-re-parses the variable-length instruction at every step: it fetches the
-opcode, walks the operand specifiers byte by byte, builds one operand
-object per specifier and dispatches on the mnemonic by name.  None of
-that depends on anything but the instruction bytes.
+re-parses the variable-length instruction at every step.  This engine
+parses each instruction once (:func:`repro.baselines.vax.isa.decode`) and
+runs it on two tiers that share one run loop:
 
-This engine parses the instruction at each PC once, with
-:func:`repro.baselines.vax.isa.decode`, and translates it into a closure
-that binds what the parse found:
+* the *per-instruction tier* translates the instruction at a PC into a
+  closure over what the parse found: registers, displacements, literals,
+  widths, the autoincrement/autodecrement steps (applied in specifier
+  order before execution), the static cycle cost, the fall-through PC and
+  the branch target.  It returns the next PC.  CALLS, RET, HALT, JMP and
+  PUSHL are written by hand; every other closure is generated;
+* the *block tier* runs hot straight-line code.  A head is the PC after a
+  branch, a CALLS, a RET, an instruction blocks do not cover or exited
+  before, or another block.  At a head's :data:`PROMOTE`-th visit, or at
+  once if it is cached (:mod:`repro.core.blockcache`, keyed on the
+  bytes), the instructions up to the first branch or ``jmp``, that
+  transfer included, become one generated function: operands inlined,
+  loads and stores through ``struct`` on the memory bytearray, N Z V C
+  in locals written back when it returns.  A block never raises: before
+  an out-of-range access, an MMIO store, a store into the code segment
+  or a zero divisor it returns with the exact PC and the per-instruction
+  tier runs that instruction.  Autoincrement and autodecrement
+  specifiers, CALLS, RET and HALT end a block before them.
 
-* register numbers, displacements, literals and immediates;
-* operand widths, and the autoincrement/autodecrement steps, applied in
-  specifier order before execution as the parse applies them;
-* the static cycle cost (base plus specifiers), the fall-through PC and
-  the branch target.
-
-A closure returns the next PC.  CALLS and RET are translated too, with
-their stack traffic done in place.
+:data:`SEMANTICS` and :data:`BRANCHES` are the one place a straight-line
+mnemonic's operation and flag rule are written; both tiers are generated
+from their statements (``docs/ENGINE.md``).
 
 Exactness is the contract: the same exit code, console, every
 :class:`~repro.baselines.vax.cpu.VaxStats` field, memory counters,
-registers, flags and tracer event stream as the reference loop
-(``tests/test_engine_diff.py``).  The run loop keeps the fold rule of
-:class:`repro.core.engine.PredecodedEngine`:
+registers, flags and tracer events as the reference loop
+(``tests/test_engine_diff.py``, ``tests/test_blocks.py``).  The fold rule
+is :class:`repro.core.engine.PredecodedEngine`'s: per-PC counts, and each
+block's runs and exits per prefix, are always kept.  A run is *observed*
+when a tracer kind is wanted or an ``on_execute`` hook is installed; it
+keeps the stats per step where ``step()`` does, calls the hook after
+operand evaluation with ``cpu.pc`` at the fall-through, and emits the
+reference's events.  An unobserved run folds ``instructions``,
+``inst_bytes``, ``by_mnemonic`` and ``cycles`` (count times static cost,
+plus ``memory_cycles`` per data reference) when the loop exits, and
+``data_reads``/``data_writes`` from the memory counters, into which a
+block folds its static references.  A uarch probe alone leaves a run
+unobserved: each step appends its PC and the data-reference count so far
+to the retire stream.  Observed and measured runs stay per-instruction.
 
-* per-PC execution counts are always kept;
-* a run is *observed* when a tracer kind is wanted or an ``on_execute``
-  hook is installed.  An observed run advances the stats per step
-  exactly where ``step()`` does, calls the hook after operand evaluation
-  with ``cpu.pc`` at the fall-through PC, and emits RETIRE, MEM_REF,
-  TRAP, CALL and RET with the reference's PCs and timestamps.  An
-  unobserved run folds ``instructions``, ``inst_bytes``, ``by_mnemonic``
-  and ``cycles`` when the loop exits: ``cycles`` is the sum of count
-  times static cost, plus ``memory_cycles`` for each data reference the
-  run made.  ``data_reads``/``data_writes`` are folded from the memory
-  counters the same way (per step in an observed run).  A uarch probe
-  alone leaves the run unobserved: each step appends its PC and the
-  data-reference count so far to the retire stream.
-
-Bytes that do not decode, bad specifiers and PCs outside the loaded code
-segment run through ``cpu.step()`` for that one step — semantics by
-construction.  Translations survive across ``run()`` calls (chunked
-recording calls ``run()`` many times); a :attr:`Memory.write_watch` hook
-and an inline range check on translated stores invalidate the ones a
-store touches, and ``VaxCPU.load()``/``restore()`` drop them all, as
-does a run that ends in a halt or a trap.
+Bytes that do not decode, bad specifiers and PCs outside the code
+segment run through ``cpu.step()`` for one step.  Translations survive
+across ``run()`` calls; a :attr:`Memory.write_watch` hook and an inline
+range check on translated stores drop the closures and blocks a store
+touches, and ``load()``/``restore()`` drop them all, as does a run that
+ends in a halt or a trap.
 """
 
 from __future__ import annotations
 
-import dataclasses
+import re
+import struct
+from collections import namedtuple
+from functools import lru_cache
 
 from repro.baselines.vax.cpu import _Operand, _signed
-from repro.baselines.vax.isa import AP, FP, SP, Decoded, decode
+from repro.baselines.vax.isa import AP, FP, SP, INSTRUCTIONS, Decoded, decode
+from repro.core import blockcache
 from repro.core.api import MMIO_BASE, MachineShell
 from repro.machine.memory import MemoryError_
 from repro.machine.traps import Trap, TrapKind
@@ -63,9 +72,241 @@ SIGN = 0x80000000
 
 #: The longest encoding: an opcode and three specifiers of five bytes.
 MAX_LENGTH = 16
+#: The block tier's promotion rule: a head is translated on this visit.
+PROMOTE = 100
+#: Longest block, in instructions.
+MAX_BLOCK = 64
 
 #: entry mask -> the registers CALLS saves (r2..r11), in push order
 _SAVED = {mask: tuple(r for r in range(2, 12) if mask >> r & 1) for mask in range(0x1000)}
+#: a CALLS frame of n words from its lowest address: mask, return PC, FP,
+#: AP, the saved registers (last pushed first), the argument count
+_FRAMES = {n: struct.Struct(f">{n}I") for n in range(5, 16)}
+
+#: Every straight-line mnemonic: ``(operation, flag rule, trap)``.  The
+#: operation is an expression over the operands read or addressed, ``a``
+#: then ``b`` in specifier order (widths and access codes from ``isa``),
+#: giving the value of the operand written (``None``: none).  The flag
+#: rule (:func:`_flag_lines`) works at the last operand's width; on
+#: ``trap`` the instruction traps instead.  ``W``/``S``: word mask, sign.
+SEMANTICS = {
+    **dict.fromkeys(("movl", "movw", "movb", "movzbl", "movzwl", "moval"), ("a", "nz", None)),
+    "cvtbl": ("(a ^ 128) - 128 & W", "nz", None),
+    "cvtwl": ("(a ^ 32768) - 32768 & W", "nz", None),
+    "clrl": ("0", "clr", None),
+    "tstl": (None, "tst", None),
+    "incl": ("a + 1 & W", "nz", None),
+    "decl": ("a - 1 & W", "nz", None),
+    "mnegl": ("-a & W", "nz", None),
+    "mcoml": ("~a & W", "nz", None),
+    **dict.fromkeys(("addl2", "addl3"), ("b + a & W", "add", None)),
+    **dict.fromkeys(("subl2", "subl3"), ("b - a & W", "sub", None)),
+    **dict.fromkeys(("mull2", "mull3"), ("((b ^ S) - S) * ((a ^ S) - S) & W", "nz", None)),
+    # C division truncates toward zero
+    **dict.fromkeys(("divl2", "divl3"), ("int(((b ^ S) - S) / ((a ^ S) - S)) & W", "nz", "not a")),
+    **dict.fromkeys(("bisl2", "bisl3"), ("b | a", "nz", None)),
+    **dict.fromkeys(("xorl2", "xorl3"), ("b ^ a", "nz", None)),
+    **dict.fromkeys(("andl2", "andl3"), ("b & a", "nz", None)),
+    # ``a`` is the signed 8-bit count; amounts are masked to 5 bits
+    "ashl": ("(b << (a & 31) if a < 128 else ((b ^ S) - S) >> (256 - a & 31)) & W", "nz", None),
+    **dict.fromkeys(("cmpl", "cmpw", "cmpb"), (None, "cmp", None)),
+}
+#: Each branch's condition, over the flags ``n z v c``.
+BRANCHES = {
+    "brb": "True", "brw": "True", "beql": "z", "bneq": "not z", "blss": "n", "bgeq": "not n",
+    "bleq": "n or z", "bgtr": "not (n or z)", "blssu": "c", "bgequ": "not c",
+    "blequ": "c or z", "bgtru": "not (c or z)",
+}
+#: the flags each rule sets
+_FLAGS = {"nz": "nz", "tst": "nzvc", "clr": "nzv", "add": "nzvc", "sub": "nzvc", "cmp": "nzvc"}
+_DIVIDE = "raise Trap(TrapKind.ILLEGAL_INSTRUCTION, 'integer divide by zero')"
+_U16, _U32 = struct.Struct(">H"), struct.Struct(">I")
+#: the globals every generated function shares (read only)
+_GLOBALS = {"Trap": Trap, "TrapKind": TrapKind, "U32": _U32.unpack_from,
+            "U16": _U16.unpack_from, "P32": _U32.pack_into, "P16": _U16.pack_into}
+
+
+def _flag_lines(rule: str, width: int, flag: str) -> list:
+    """Statements setting the flags by ``rule`` from ``a``, ``b`` and the
+    result ``s``; ``flag`` prefixes each flag's name."""
+    n, z, v, c = (flag + name for name in "nzvc")
+    top = 1 << (8 * width - 1)
+    if rule == "cmp":  # flipping the sign bits turns the signed order unsigned
+        return [f"{z} = a == b", f"{n} = a ^ {top} < b ^ {top}", f"{c} = a < b", f"{v} = False"]
+    if rule == "tst":
+        return [f"{z} = a == 0", f"{n} = a >= {SIGN}", f"{v} = {c} = False"]
+    if rule == "clr":
+        return [f"{n} = False", f"{z} = True", f"{v} = False"]
+    lines = [f"{z} = s == 0", f"{n} = s >= {top}"]
+    if rule == "add":
+        lines += [f"{c} = a + b > {WORD}", f"{v} = ~(a ^ b) & (a ^ s) & {SIGN} != 0"]
+    elif rule == "sub":
+        lines += [f"{c} = b < a", f"{v} = (b ^ a) & (b ^ s) & {SIGN} != 0"]
+    return lines
+
+
+def _semantic_lines(m: str, values: list, store, flag: str, on_trap: str) -> list:
+    """Statements executing straight-line mnemonic ``m`` from
+    :data:`SEMANTICS`: ``values`` are the expressions of the operands it
+    reads, ``store(result)`` writes its result, ``flag`` prefixes the
+    flags' names and ``on_trap`` runs instead of a trap."""
+    operation, rule, trap = SEMANTICS[m]
+    lines = [f"{name} = {value}" for name, value in zip("ab", values)]
+    if trap is not None:
+        lines.append(f"if {trap}: {on_trap}")
+    if operation is not None:
+        lines += ["s = " + operation.replace("W", str(WORD)).replace("S", str(SIGN)), store("s")]
+    return lines + _flag_lines(rule, INSTRUCTIONS[m].operands[-1].width, flag)
+
+
+def _condition(m: str, local=()) -> str:
+    """Branch ``m``'s condition over the CPU's flags, or locals ``local``."""
+    return re.sub(r"\b[nzvc]\b", lambda f: f[0] if f[0] in local else "cpu." + f[0], BRANCHES[m])
+
+
+@lru_cache(maxsize=None)
+def _factory(m: str):
+    """``make(cpu, fall, *operands) -> handler`` for mnemonic ``m`` on the
+    per-instruction tier, from the block generator's statements; a
+    branch's operand is its target.  Otherwise ``operands`` hold, in
+    specifier order, the value closure (a read, or the address) of each
+    operand read or addressed, then its write closure if it is written."""
+    if m in BRANCHES:
+        params, body = ["target"], [f"return target if {_condition(m)} else fall"]
+    else:
+        params, values, store = [], [], None
+        for k, spec in enumerate(INSTRUCTIONS[m].operands):
+            if spec.access in "rma":
+                params.append(f"V{k}")
+                values.append(f"V{k}()")
+            if spec.access in "wm":
+                params.append(f"D{k}")
+                store = f"D{k}({{}})".format
+        body = _semantic_lines(m, values, store, "cpu.", _DIVIDE) + ["return fall"]
+    source = f"def make(cpu, fall, {', '.join(params)}):\n    def run():\n"
+    source += "".join(f"        {line}\n" for line in body) + "    return run\n"
+    return blockcache.define(source, "make", _GLOBALS)
+
+
+def _cost(timing, decoded: Decoded) -> int:
+    """Base plus specifier cycles of one instruction."""
+    return timing.base_cycles[decoded.info.kind] + sum(
+        timing.specifier_cycles[spec.family] for spec in decoded.operands
+        if spec.family != "branch"
+    )
+
+
+# -- the block generator ------------------------------------------------------
+
+
+def _covers(decoded: Decoded, size: int, lo: int, hi: int) -> bool:
+    """Whether a block runs this instruction (else a block ends before
+    it): no side-effecting specifier, no operand that always traps, no
+    absolute access that always leaves the block."""
+    m = decoded.info.mnemonic
+    if m not in SEMANTICS and m not in BRANCHES and m not in ("jmp", "pushl"):
+        return False
+    for spec in decoded.operands:
+        family, access, width = spec.family, spec.access, spec.width
+        if family in ("autoinc", "autodec", "bad"):
+            return False
+        if family in ("literal", "immediate", "register"):
+            if access == "a" or access in "wm" and family != "register":
+                return False  # an address of neither, or a write to a constant
+        elif family == "absolute" and access in "rwm":
+            at = spec.value
+            if at + width > size or access in "wm" and lo - width < at < hi:
+                return False
+    return True
+
+
+#: what a block's accounting needs, fixed by its bytes: its end, and per
+#: instruction its decoded form and its data reads and writes
+_Shape = namedtuple("_Shape", "end decoded reads writes")
+
+
+def _translate(items: list, size: int, lo: int, hi: int):
+    """``(function, shape)`` of the block of ``(pc, decoded)`` items.
+    ``function(R, M, cpu)`` — registers, memory, the CPU (its flags) —
+    returns ``(done, pc)``: the instructions it ran and the next PC."""
+    lines = ["def block(R, M, cpu, U32=U32, U16=U16, P32=P32, P16=P16):"]
+    local: list = []  # the flags set so far, held in locals
+    reads, writes = [], []
+    for done, (pc, decoded) in enumerate(items):
+        m = decoded.info.mnemonic
+        fall = pc + decoded.length
+        writeback = "".join(f"cpu.{flag} = {flag}; " for flag in local)
+        checks, values, stores = [], [], []
+        loads = stored = 0
+        for k, spec in enumerate(op for op in decoded.operands if op.family != "branch"):
+            family, access, width = spec.family, spec.access, spec.width
+            if family in ("literal", "immediate"):
+                values.append(str(spec.value))
+                continue
+            if family == "register":
+                reg, mask = f"R[{spec.reg}]", (1 << 8 * width) - 1
+                if access in "rm":
+                    values.append(reg if width == 4 else f"{reg} & {mask}")
+                if access in "wm":
+                    stores.append(f"{reg} = {{}}".format if width == 4 else
+                                  f"{reg} = {reg} & {~mask & WORD} | {{}} & {mask}".format)
+                continue
+            at = str(spec.value) if family == "absolute" else f"t{k}"
+            if family != "absolute":
+                disp = f" + {spec.value} & {WORD}" if spec.value else ""
+                lines.append(f"    {at} = R[{spec.reg}]{disp}")
+                if access != "a":
+                    checks.append(f"{at} > {size - width}"
+                                  + (f" or {lo - width} < {at} < {hi}" if access in "wm" else ""))
+            if access == "a":
+                values.append(at)
+            if access in "rm":
+                loads += 1
+                values.append({4: f"U32(M, {at})[0]", 2: f"U16(M, {at})[0]", 1: f"M[{at}]"}[width])
+            if access in "wm":
+                stored += 1
+                stores.append({4: f"P32(M, {at}, {{}})", 2: f"P16(M, {at}, {{}} & 65535)",
+                               1: f"M[{at}] = {{}} & 255"}[width].format)
+        if m == "pushl":
+            lines.append(f"    u = R[{SP}] - 4 & {WORD}")
+            checks.append(f"u > {size - 4} or {lo - 4} < u < {hi}")
+            stored += 1
+        bail = f"{writeback}return {done}, {pc}"
+        if checks:
+            lines.append(f"    if {' or '.join(checks)}: {bail}")
+        reads.append(loads)
+        writes.append(stored)
+        if m in BRANCHES or m == "jmp":
+            target = (fall + decoded.operands[0].value) & WORD
+            test = "True" if m == "jmp" else _condition(m, local)
+            to = values[0] if m == "jmp" else target if test == "True" else (
+                f"{target} if {test} else {fall}")
+            lines.append(f"    {writeback}return {done + 1}, {to}")
+            break
+        if m == "pushl":
+            body = [f"P32(M, u, {values[0]})", f"R[{SP}] = u"]
+        else:
+            body = _semantic_lines(m, values, stores[-1] if stores else None, "", bail)
+            local += [flag for flag in _FLAGS[SEMANTICS[m][1]] if flag not in local]
+        lines += [f"    {line}" for line in body]
+    else:
+        writeback = "".join(f"cpu.{flag} = {flag}; " for flag in local)
+        lines.append(f"    {writeback}return {len(items)}, {fall}")
+    shape = _Shape(fall, tuple(decoded for _, decoded in items), tuple(reads), tuple(writes))
+    return blockcache.define("\n".join(lines), "block", _GLOBALS), shape
+
+
+class _Block:
+    """A block installed in one engine: its function, shape and counts."""
+
+    __slots__ = ("run", "length", "end", "shape", "costs", "runs", "cuts")
+
+    def __init__(self, run, shape: _Shape, costs: tuple):
+        self.run, self.shape, self.costs = run, shape, costs
+        self.length, self.end = len(costs), shape.end
+        #: full runs, and ``cuts[k]``: exits after the first ``k`` instructions
+        self.runs = 0
+        self.cuts = [0] * self.length
 
 
 def _bus_error(address: int, width: int, size: int) -> MemoryError_:
@@ -80,21 +321,12 @@ def _not_memory():
     raise Trap(TrapKind.ILLEGAL_INSTRUCTION, "address operand must reference memory")
 
 
-@dataclasses.dataclass(eq=False)
-class Translation:
-    """What one PC translated to."""
-
-    info: object  # the VaxOpcodeInfo
-    cost: int  # base plus specifier cycles
-    length: int
-    fall: int  # the fall-through PC
-    branch_disp: int | None
-    #: applies the side-effecting specifiers; None when there are none
-    pre: object
-    #: executes the instruction once ``pre`` ran; returns the next PC
-    body: object
-    #: the evaluated operands, as ``on_execute`` receives them
-    describe: object
+#: What one PC translated to: its ``VaxOpcodeInfo``, cost (base plus
+#: specifier cycles), length, fall-through PC and branch displacement;
+#: ``pre`` applies its side-effecting specifiers (``None``: it has none),
+#: ``body`` executes it once ``pre`` ran and returns the next PC, and
+#: ``describe`` evaluates the operands as ``on_execute`` receives them.
+Translation = namedtuple("Translation", "info cost length fall branch_disp pre body describe")
 
 
 class VaxEngine:
@@ -112,12 +344,21 @@ class VaxEngine:
         self.stats = cpu.stats
         segments = cpu._program.segments
         code = [s for s in segments if s.name == "code"] or list(segments)
+        #: the memory's bytes, traffic counters and size
+        self.mem, self.mstats, self.size = cpu.memory._bytes, cpu.memory.stats, cpu.memory.size
         self.code_lo = min(s.base for s in code)
-        self.code_hi = min(max(s.end for s in code), cpu.memory.size)
+        self.code_hi = min(max(s.end for s in code), self.size)
         #: pc -> closure, or False to run that PC through ``cpu.step()``
         self.handlers: dict = {}
         self.translations: dict[int, Translation] = {}
         self.counts: dict[int, int] = {}
+        #: head -> installed block, or False (never a block head)
+        self.blocks: dict = {}
+        #: head -> visits counted towards promotion
+        self.heat: dict[int, int] = {}
+        #: PCs whose next PC is a head: transfers, the instructions blocks
+        #: do not cover, and those blocks exited before
+        self.resume: set = set()
         #: set by :meth:`run`: observed runs keep the stats per step
         self.observed = False
         #: the PC a handler moved to before it faulted (RET)
@@ -125,10 +366,10 @@ class VaxEngine:
         cpu.memory.write_watch = self.note_write
 
     def close(self) -> None:
-        """Drop every translation and detach from the memory."""
-        self.handlers.clear()
-        self.translations.clear()
-        self.counts.clear()
+        """Drop every translation and block and detach from the memory."""
+        for table in (self.handlers, self.translations, self.counts, self.blocks, self.heat,
+                      self.resume):
+            table.clear()
         self.cpu.memory.write_watch = None
 
     # -- bookkeeping -------------------------------------------------------
@@ -146,8 +387,27 @@ class VaxEngine:
                 stats.inst_bytes += count * t.length
                 stats.by_mnemonic[t.info.mnemonic] += count
 
+    def _fold(self, block: _Block) -> None:
+        """Fold one block's counted runs and exits into the stats; its data
+        references go to the memory counters, folded with the run's."""
+        stats, traffic, shape = self.stats, self.mstats, block.shape
+        # instruction i ran in every full run and every exit after it
+        executed = block.runs
+        for i in reversed(range(block.length)):
+            if executed:
+                stats.instructions += executed
+                stats.cycles += executed * block.costs[i]
+                stats.inst_bytes += executed * shape.decoded[i].length
+                stats.by_mnemonic[shape.decoded[i].info.mnemonic] += executed
+                traffic.data_reads += executed * shape.reads[i]
+                traffic.data_writes += executed * shape.writes[i]
+            executed += block.cuts[i]
+        block.runs = 0
+        block.cuts = [0] * block.length
+
     def note_write(self, address: int, width: int = 4) -> None:
-        """Drop the translations a store of ``width`` bytes overlaps."""
+        """Drop the translations and blocks a store of ``width`` bytes
+        overlaps."""
         if address < self.code_hi and address + width > self.code_lo:
             handlers = self.handlers
             translations = self.translations
@@ -156,6 +416,11 @@ class VaxEngine:
                     t = translations.get(pc)
                     if t is None or pc + t.length > address:
                         del handlers[pc]
+            for head, block in list(self.blocks.items()):
+                if block and head < address + width and address < block.end:
+                    self._fold(block)
+                    del self.blocks[head]
+                    self.heat.pop(head, None)
 
     # -- translation -------------------------------------------------------
 
@@ -167,7 +432,7 @@ class VaxEngine:
             del self.counts[pc]
         handler = False
         if self.code_lo <= pc < self.code_hi:
-            decoded = decode(self.cpu.memory._bytes, pc)
+            decoded = decode(self.mem, pc)
             if (
                 decoded is not None
                 and pc + decoded.length <= self.code_hi
@@ -176,6 +441,9 @@ class VaxEngine:
                 t = self._make(pc, decoded)
                 self.translations[pc] = t
                 self.counts[pc] = 0
+                if decoded.info.kind in ("branch", "calls", "ret") or not _covers(
+                        decoded, self.size, self.code_lo, self.code_hi):
+                    self.resume.add(pc)
                 if self.cpu._sink is not None:
                     self.cpu._sink.describe(pc, t.fall)
                 handler = t.body
@@ -189,17 +457,49 @@ class VaxEngine:
         self.handlers[pc] = handler
         return handler
 
+    def _shape(self, head: int) -> list:
+        """``(pc, decoded)`` items of the block headed at ``head``: the
+        instructions blocks cover, up to the first branch or ``jmp``."""
+        lo, hi = self.code_lo, self.code_hi
+        items: list = []
+        pc = head
+        while lo <= pc < hi and len(items) < MAX_BLOCK:
+            decoded = decode(self.mem, pc)
+            if decoded is None or pc + decoded.length > hi or not _covers(
+                    decoded, self.size, lo, hi):
+                break
+            items.append((pc, decoded))
+            if decoded.info.kind == "branch":
+                break
+            pc += decoded.length
+        return items
+
+    def _promote(self, head: int, visits: int):
+        """A head's second visit, or its :data:`PROMOTE`-th: returns its
+        block if its translation is cached, or once it is due."""
+        items = self._shape(head)
+        if not items:
+            self.blocks[head] = False
+            return None
+        end = items[-1][0] + items[-1][1].length
+        key = ("cisc", head, bytes(self.mem[head:end]), self.size, self.code_lo, self.code_hi)
+        entry = blockcache.lookup(key)
+        if entry is None:
+            if visits < PROMOTE:
+                return None
+            entry = _translate(items, self.size, self.code_lo, self.code_hi)
+            blockcache.store(key, entry)
+        run, shape = entry
+        costs = tuple(_cost(self.cpu.timing, decoded) for decoded in shape.decoded)
+        block = self.blocks[head] = _Block(run, shape, costs)
+        return block
+
     def _make(self, pc: int, decoded: Decoded) -> Translation:
-        cpu = self.cpu
-        timing = cpu.timing
         info = decoded.info
         fall = pc + decoded.length
         specs = [spec for spec in decoded.operands if spec.family != "branch"]
         branch_disp = next(
             (spec.value for spec in decoded.operands if spec.family == "branch"), None
-        )
-        cost = timing.base_cycles[info.kind] + sum(
-            timing.specifier_cycles[spec.family] for spec in specs
         )
         # with an autoincrement or autodecrement among the specifiers,
         # every memory address is fixed in specifier order before the
@@ -227,9 +527,8 @@ class VaxEngine:
             return [operand() for operand in describes]
 
         body = self._body(info.mnemonic, specs, reads, writes, addresses, fall, branch_disp)
-        return Translation(
-            info, cost, decoded.length, fall, branch_disp, pre, body, describe
-        )
+        return Translation(info, _cost(self.cpu.timing, decoded), decoded.length, fall,
+                           branch_disp, pre, body, describe)
 
     def _operand(self, spec, fall: int, staged: bool):
         """``(step, read, write, address, describe)`` for one specifier.
@@ -302,11 +601,8 @@ class VaxEngine:
     def _memory(self, width: int, fall: int, base: list, index: int, disp: int):
         """Read and write closures for the memory operand at
         ``(base[index] + disp) & WORD``."""
-        cpu = self.cpu
-        stats = self.stats
-        mem = cpu.memory._bytes
-        mstats = cpu.memory.stats
-        size = cpu.memory.size
+        cpu, stats = self.cpu, self.stats
+        mem, mstats, size = self.mem, self.mstats, self.size
         mask = (1 << (8 * width)) - 1
         code_lo, code_hi = self.code_lo, self.code_hi
         note_write = self.note_write
@@ -339,13 +635,10 @@ class VaxEngine:
 
         return read, write
 
-    def _stack(self):
-        """``push(value)`` and ``pop()`` closures, as ``VaxCPU._push``/``_pop``."""
+    def _push(self):
+        """A ``push(value)`` closure, as ``VaxCPU._push``."""
         regs = self.cpu.regs
-        memory = self.cpu.memory
-        mem = memory._bytes
-        mstats = memory.stats
-        size = memory.size
+        mem, mstats, size = self.mem, self.mstats, self.size
         code_lo, code_hi = self.code_lo, self.code_hi
         note_write = self.note_write
 
@@ -358,50 +651,17 @@ class VaxEngine:
             if sp < code_hi and sp + 4 > code_lo:
                 note_write(sp, 4)
 
-        def pop():
-            sp = regs[SP]
-            if sp + 4 > size:
-                raise _bus_error(sp, 4, size)
-            mstats.data_reads += 1
-            regs[SP] = (sp + 4) & WORD
-            return int.from_bytes(mem[sp : sp + 4], "big")
-
-        return push, pop
+        return push
 
     def _body(self, m: str, specs, reads, writes, addresses, fall: int, branch_disp):
         """The closure that executes mnemonic ``m``; returns the next PC."""
         cpu = self.cpu
-        regs = cpu.regs
 
         if branch_disp is not None:
-            target = (fall + branch_disp) & WORD
-            if m in ("brb", "brw"):
-                return lambda: target
-            if m == "beql":
-                return lambda: target if cpu.z else fall
-            if m == "bneq":
-                return lambda: fall if cpu.z else target
-            if m == "blss":
-                return lambda: target if cpu.n else fall
-            if m == "bgeq":
-                return lambda: fall if cpu.n else target
-            if m == "bleq":
-                return lambda: target if cpu.n or cpu.z else fall
-            if m == "bgtr":
-                return lambda: fall if cpu.n or cpu.z else target
-            if m == "blssu":
-                return lambda: target if cpu.c else fall
-            if m == "bgequ":
-                return lambda: fall if cpu.c else target
-            if m == "blequ":
-                return lambda: target if cpu.c or cpu.z else fall
-            if m == "bgtru":
-                return lambda: fall if cpu.c or cpu.z else target
+            return _factory(m)(cpu, fall, (fall + branch_disp) & WORD)
 
         if m == "halt":
-            def run():
-                cpu._halt(_signed(regs[0]))
-            return run
+            return lambda: cpu._halt(_signed(cpu.regs[0]))
 
         if m == "jmp":
             return addresses[0]
@@ -413,243 +673,99 @@ class VaxEngine:
             return self._ret(fall)
 
         if m == "pushl":
-            push, _pop = self._stack()
-            source = reads[0]
+            push, source = self._push(), reads[0]
 
             def run():
                 push(source())
                 return fall
             return run
 
-        # moves ---------------------------------------------------------------
-        if m in ("movl", "movw", "movb", "movzbl", "movzwl", "cvtbl", "cvtwl", "moval"):
-            source = addresses[0] if m == "moval" else reads[0]
-            dest = writes[1]
-            sign = {"movw": 0x8000, "movb": 0x80}.get(m, SIGN)
-            extend = {"cvtbl": 0x80, "cvtwl": 0x8000}.get(m)  # the sign bit
-            if extend is not None:
-                def run():
-                    value = ((source() ^ extend) - extend) & WORD
-                    dest(value)
-                    cpu.z = value == 0
-                    cpu.n = value >= SIGN
-                    return fall
-            else:
-                # the movz forms read exactly the source width: nothing to mask
-                def run():
-                    value = source()
-                    dest(value)
-                    cpu.z = value == 0
-                    cpu.n = value & sign != 0
-                    return fall
-            return run
-
-        if m == "clrl":
-            dest = writes[0]
-
-            def run():
-                dest(0)
-                cpu.n, cpu.z, cpu.v = False, True, False
-                return fall
-            return run
-
-        # alu -----------------------------------------------------------------
-        if m == "tstl":
-            source = reads[0]
-
-            def run():
-                value = source()
-                cpu.z = value == 0
-                cpu.n = value >= SIGN
-                cpu.v = cpu.c = False
-                return fall
-            return run
-
-        if m in ("incl", "decl", "mnegl", "mcoml"):
-            source = reads[0]
-            dest = writes[0] if m in ("incl", "decl") else writes[1]
-            op = {
-                "incl": lambda x: x + 1,
-                "decl": lambda x: x - 1,
-                "mnegl": lambda x: -x,
-                "mcoml": lambda x: ~x,
-            }[m]
-
-            def run():
-                value = op(source()) & WORD
-                dest(value)
-                cpu.z = value == 0
-                cpu.n = value >= SIGN
-                return fall
-            return run
-
-        if m in ("cmpl", "cmpw", "cmpb"):
-            first, second = reads
-            sign = {"cmpl": SIGN, "cmpw": 0x8000, "cmpb": 0x80}[m]
-
-            def run():
-                a = first()
-                b = second()
-                cpu.z = a == b
-                # flipping the sign bits turns the signed order unsigned
-                cpu.n = a ^ sign < b ^ sign
-                cpu.c = a < b  # both already within the operand width
-                cpu.v = False
-                return fall
-            return run
-
-        if m == "ashl":
-            count_of, source, dest = reads[0], reads[1], writes[2]
-            count = specs[0]
-            if count.family in ("literal", "immediate") and not count.value & 0x80:
-                amount = count.value & 31  # a constant left shift
-
-                def run():
-                    result = (source() << amount) & WORD
-                    dest(result)
-                    cpu.z = result == 0
-                    cpu.n = result >= SIGN
-                    return fall
-                return run
-
-            def run():
-                count = _signed(count_of(), 8)
-                value = source()
-                # shift amounts are masked to 5 bits, as in VaxCPU._op_ashl
-                if count >= 0:
-                    result = (value << (count & 31)) & WORD
-                else:
-                    result = (((value ^ SIGN) - SIGN) >> ((-count) & 31)) & WORD
-                dest(result)
-                cpu.z = result == 0
-                cpu.n = result >= SIGN
-                return fall
-            return run
-
-        # two- and three-operand arithmetic: dst = second op first
-        first, second = reads[0], reads[1]
-        dest = writes[2] if m.endswith("3") else writes[1]
-        kind = m[:-1]
-        if kind == "addl":
-            def run():
-                a = first()
-                b = second()
-                result = (b + a) & WORD
-                dest(result)
-                cpu.z = result == 0
-                cpu.n = result >= SIGN
-                cpu.c = a + b > WORD
-                cpu.v = bool(~(a ^ b) & (a ^ result) & SIGN)
-                return fall
-            return run
-
-        if kind == "subl":
-            def run():
-                a = first()
-                b = second()
-                result = (b - a) & WORD
-                dest(result)
-                cpu.z = result == 0
-                cpu.n = result >= SIGN
-                cpu.c = b < a  # borrow
-                cpu.v = bool((b ^ a) & (b ^ result) & SIGN)
-                return fall
-            return run
-
-        if kind in ("bisl", "xorl", "andl", "mull", "divl"):
-            if kind == "divl":
-                def combine(b, a):
-                    divisor, dividend = _signed(a), _signed(b)
-                    if divisor == 0:
-                        raise Trap(TrapKind.ILLEGAL_INSTRUCTION, "integer divide by zero")
-                    return int(dividend / divisor)  # C truncation toward zero
-            else:
-                combine = {
-                    "bisl": int.__or__,
-                    "xorl": int.__xor__,
-                    "andl": int.__and__,
-                    "mull": lambda b, a: _signed(b) * _signed(a),
-                }[kind]
-
-            def run():
-                a = first()
-                result = combine(second(), a) & WORD
-                dest(result)
-                cpu.z = result == 0
-                cpu.n = result >= SIGN
-                return fall
-            return run
-
-        raise AssertionError(f"no translation for {m}")  # every mnemonic has one
+        operands = []
+        for spec, read, write, address in zip(specs, reads, writes, addresses):
+            if spec.access in "rma":
+                operands.append(address if spec.access == "a" else read)
+            if spec.access in "wm":
+                operands.append(write)
+        return _factory(m)(cpu, fall, *operands)
 
     # -- procedure linkage -------------------------------------------------
 
+    def _linkage(self, method, fall: int, *args) -> int:
+        """Run the reference's CALLS or RET, ``method(*args)``, for a frame
+        that leaves memory or covers code; returns the next PC.  It counts
+        data references in the VaxStats too: they are folded from the
+        memory counters, as the engine's own."""
+        cpu, stats = self.cpu, self.stats
+        reads, writes = stats.data_reads, stats.data_writes
+        cpu.pc = fall
+        try:
+            method(*args)
+        except MemoryError_:
+            self.fault_pc = cpu.pc  # RET may have moved the PC already
+            raise
+        finally:
+            stats.data_reads, stats.data_writes = reads, writes
+        return cpu.pc
+
     def _calls(self, nargs_of, target_of, fall: int):
-        cpu = self.cpu
-        stats = self.stats
-        regs = cpu.regs
-        memory = cpu.memory
-        mem = memory._bytes
-        mstats = memory.stats
-        size = memory.size
-        push, _pop = self._stack()
+        cpu, stats, regs = self.cpu, self.stats, self.cpu.regs
+        mem, mstats, size = self.mem, self.mstats, self.size
+        code_lo, code_hi = self.code_lo, self.code_hi
 
         def run():
             nargs = nargs_of()
             target = target_of()
-            if cpu._trace_flow:
-                cpu.tracer.call(stats.cycles, fall, cpu._depth + 1, target)
-            if target + 2 > size:
-                raise _bus_error(target, 2, size)
-            mask = int.from_bytes(mem[target : target + 2], "big")
-            mstats.data_reads += 1
-            sp_at_call = regs[SP]
-            saved = _SAVED[mask & 0xFFF]
-            push(nargs)  # arg count sits directly below the args
-            for reg in saved:
-                push(regs[reg])
-            push(regs[AP])
-            push(regs[FP])
-            push(fall)  # return address
-            push(mask)
-            regs[FP] = regs[SP]
-            regs[AP] = (sp_at_call - 4) & WORD  # the argcount slot
-            stats.calls += 1
-            depth = cpu._depth = cpu._depth + 1
-            if depth > stats.max_call_depth:
-                stats.max_call_depth = depth
-            stats.call_linkage_refs += 6 + len(saved)
-            return target + 2
+            sp = regs[SP]
+            if target + 2 <= size:
+                mask = mem[target] << 8 | mem[target + 1]
+                saved = _SAVED[mask & 0xFFF]
+                words = 5 + len(saved)
+                low = sp - 4 * words
+                if 0 <= low and sp <= size and (low >= code_hi or sp <= code_lo):
+                    if cpu._trace_flow:
+                        cpu.tracer.call(stats.cycles, fall, cpu._depth + 1, target)
+                    # arg count, saved registers, AP, FP, return PC, mask
+                    _FRAMES[words].pack_into(mem, low, mask, fall, regs[FP], regs[AP],
+                                             *[regs[reg] for reg in reversed(saved)], nargs)
+                    mstats.data_reads += 1
+                    mstats.data_writes += words
+                    regs[SP] = regs[FP] = low
+                    regs[AP] = (sp - 4) & WORD  # the argcount slot
+                    stats.calls += 1
+                    depth = cpu._depth = cpu._depth + 1
+                    if depth > stats.max_call_depth:
+                        stats.max_call_depth = depth
+                    stats.call_linkage_refs += 1 + words
+                    return target + 2
+            operands = [_Operand("imm", nargs), _Operand("mem", target)]
+            return self._linkage(cpu._calls, fall, operands)
 
         return run
 
     def _ret(self, fall: int):
-        cpu = self.cpu
-        stats = self.stats
-        regs = cpu.regs
-        _push, pop = self._stack()
+        cpu, stats, regs = self.cpu, self.stats, self.cpu.regs
+        mem, mstats, size = self.mem, self.mstats, self.size
 
         def run():
-            if cpu._trace_flow:
-                cpu.tracer.ret(stats.cycles, fall, cpu._depth - 1)
-            regs[SP] = regs[FP]
-            mask = pop()
-            pc = pop()
-            try:
-                regs[FP] = pop()
-                regs[AP] = pop()
-                saved = _SAVED[mask & 0xFFF]
-                for reg in reversed(saved):
-                    regs[reg] = pop()
-                nargs = pop()
-            except MemoryError_:
-                self.fault_pc = pc  # the reference has moved the PC already
-                raise
-            regs[SP] = (regs[SP] + 4 * nargs) & WORD
-            stats.returns += 1
-            cpu._depth -= 1
-            stats.call_linkage_refs += 5 + len(saved)
-            return pc
+            sp = regs[FP]
+            if sp + 4 <= size:
+                saved = _SAVED[mem[sp + 2] << 8 & 0xF00 | mem[sp + 3]]
+                words = 5 + len(saved)
+                if sp + 4 * words <= size:
+                    if cpu._trace_flow:
+                        cpu.tracer.ret(stats.cycles, fall, cpu._depth - 1)
+                    _mask, pc, regs[FP], regs[AP], *values, nargs = _FRAMES[words].unpack_from(
+                        mem, sp
+                    )
+                    for reg, value in zip(reversed(saved), values):
+                        regs[reg] = value
+                    regs[SP] = (sp + 4 * words + 4 * nargs) & WORD
+                    mstats.data_reads += words
+                    stats.returns += 1
+                    cpu._depth -= 1
+                    stats.call_linkage_refs += words
+                    return pc
+            return self._linkage(cpu._ret, fall)
 
         return run
 
@@ -705,13 +821,9 @@ class VaxEngine:
         """
         cpu = self.cpu
         mstats = cpu.memory.stats
-        observed = self.observed = (
-            cpu._trace_retire
-            or cpu._trace_mem
-            or cpu._trace_flow
-            or cpu._trace_trap
-            or cpu.on_execute is not None
-        )
+        observed = self.observed = bool(
+            cpu._trace_retire or cpu._trace_mem or cpu._trace_flow or cpu._trace_trap
+        ) or cpu.on_execute is not None
         observed_step = self._observed_step
         lookup = self.handlers.get
         translate = self._translate
@@ -721,15 +833,47 @@ class VaxEngine:
         if sink is not None:  # a measured run: see repro.uarch.sink
             record, batch = sink.buf.append, sink.chunk
             self.handlers.clear()  # retranslated, so described, as they run
+        # blocks run where nothing watches single steps; ``head`` is the
+        # PC after the last transfer or block (-1: never a head)
+        hot = not observed and sink is None
+        blocks, heat, promote, promote_at = self.blocks, self.heat, self._promote, PROMOTE
+        resume = self.resume if hot else ()
+        regs, mem = cpu.regs, self.mem
         pc = cpu.pc
+        head = pc if hot else -1
         # data references made inside cpu.step(), which counts its own
         step_reads = step_writes = 0
         reads_at_start, writes_at_start = mstats.data_reads, mstats.data_writes
         try:
             while limit > 0:
-                steps = min(limit, batch)
+                # a hot run keeps half its budget outside the batch: a
+                # block runs many steps in one iteration, drawn from it
+                steps = min((limit + 1) >> 1 if hot else limit, batch)
                 limit -= steps
-                for _ in range(steps):
+                for i in range(steps):
+                    if pc == head:
+                        block = blocks.get(pc)
+                        if block is None:
+                            visits = heat[pc] = heat.get(pc, 0) + 1
+                            if visits >= promote_at or visits == 2:
+                                block = promote(pc, visits)
+                        if block and block.length <= limit + 1:
+                            done, pc = block.run(regs, mem, cpu)
+                            if done == block.length:
+                                block.runs += 1
+                                limit -= done - 1
+                                head = pc
+                                continue
+                            # an exit: the per-instruction tier runs the
+                            # next instruction, in this same iteration
+                            block.cuts[done] += 1
+                            limit -= done
+                            resume.add(pc)
+                        elif block and block.length <= ((limit + steps - i) >> 1) + 1:
+                            # a new split leaves the block room: hand back
+                            # the batch's unused iterations
+                            limit += steps - i
+                            break
                     handler = lookup(pc)
                     if handler is None:
                         handler = translate(pc)
@@ -761,6 +905,8 @@ class VaxEngine:
                             pc = self._faulted(pc)
                             raise
                         counts[pc] += 1
+                        if pc in resume:
+                            head = next_pc
                         pc = next_pc
                 if sink is not None:
                     sink.drain()
@@ -768,6 +914,9 @@ class VaxEngine:
             cpu.pc = pc
             for counted in counts:
                 self._flush(counted)
+            for block in blocks.values():
+                if block:
+                    self._fold(block)
             if not observed:
                 stats = self.stats
                 reads = mstats.data_reads - reads_at_start - step_reads

@@ -17,7 +17,8 @@ on two tiers that share one run loop:
   first ``JMP``/``JMPR``/``CALL``/``CALLR``/``RET`` and its delay slot.
   After :data:`PROMOTE` visits to a head the block is generated as one
   Python function over ``R[w[r]]`` (``w`` the current window's row of
-  physical indices), cached process-wide on the words it translates.  A
+  physical indices), cached process-wide on the words it translates
+  (:mod:`repro.core.blockcache`, shared with the VAX engine).  A
   block never raises: before a misaligned or out-of-range access, a
   store at or above the MMIO base or a store into a translated word it
   returns with exact ``pc``/``npc``, and the per-word tier runs that
@@ -54,10 +55,10 @@ it — is translated again before it next runs.
 from __future__ import annotations
 
 import struct
-import threading
-from collections import OrderedDict, namedtuple
+from collections import namedtuple
 from functools import lru_cache
 
+from repro.core import blockcache
 from repro.core.api import MMIO_BASE, MachineHalted
 from repro.core.cpu import CPU
 from repro.isa.conditions import CC_TABLE, Cond
@@ -96,11 +97,6 @@ _HOLDS = {
 PROMOTE = 100
 #: Longest block, in instructions (a transfer and its delay slot may add one).
 MAX_BLOCK = 64
-#: Generated block functions kept process-wide; the least recently used
-#: is dropped first.  Engines in several threads share it, under the lock.
-CACHE_SIZE = 1024
-_CACHE: OrderedDict = OrderedDict()
-_CACHE_LOCK = threading.Lock()
 
 _LOGIC = {Opcode.AND: "&", Opcode.OR: "|", Opcode.XOR: "^"}
 _ALU_OPS = frozenset({Opcode.ADD, Opcode.SUB, Opcode.SLL, Opcode.SRL, Opcode.SRA, *_LOGIC})
@@ -191,14 +187,6 @@ _GLOBALS = {
 }
 
 
-def _define(source: str, name: str):
-    """Compile generated ``source`` and return the function ``name`` it
-    defines, in a namespace of its own (translation may run in threads)."""
-    namespace: dict = {}
-    exec(compile(source, f"<{name}>", "exec"), _GLOBALS, namespace)
-    return namespace[name]
-
-
 @lru_cache(maxsize=None)
 def _alu_factory(op: Opcode, scc: bool, imm: bool, dest: bool):
     """``make(R, regs, psw, A, B, D) -> handler`` for one per-word ALU
@@ -206,11 +194,12 @@ def _alu_factory(op: Opcode, scc: bool, imm: bool, dest: bool):
     ``D`` are per-window physical-index maps, ``B`` the value if ``imm``."""
     body = _alu_lines(op, scc, "R[A[cwp]]", "B" if imm else "R[B[cwp]]",
                       "R[D[cwp]]" if dest else None)
-    return _define(
+    return blockcache.define(
         "def make(R, regs, psw, A, B, D):\n    def run():\n        cwp = regs.cwp\n"
         + "".join(f"        {line}\n" for line in body)
         + "    return run\n",
         "make",
+        _GLOBALS,
     )
 
 
@@ -310,7 +299,7 @@ def _translate(items: list, base: int, span: int, mem_size: int):
     ops = tuple(inst.opcode for _, inst in items)
     shape = _Shape(length, items[-1][0], pend, ops, tuple(op in CPU._LOAD_SPEC for op in ops),
                    tuple(op in CPU._STORE_SPEC for op in ops))
-    return _define("\n".join(lines), "block"), shape
+    return blockcache.define("\n".join(lines), "block", _GLOBALS), shape
 
 
 class _Block:
@@ -500,24 +489,18 @@ class PredecodedEngine:
             return None
         memory = self.cpu.memory
         start = items[0][0]
-        key = (start, bytes(memory._bytes[start : items[-1][0] + 4]), memory.size,
-               self.base, self.span)
-        with _CACHE_LOCK:
-            entry = _CACHE.get(key)
-            if entry is not None:
-                _CACHE.move_to_end(key)
+        key = ("risc1", start, bytes(memory._bytes[start : items[-1][0] + 4]),
+               memory.size, self.base, self.span)
+        entry = blockcache.lookup(key)
         if entry is None:
             if visits < PROMOTE:
                 return None
             entry = _translate(items, self.base, self.span, memory.size)
-            with _CACHE_LOCK:
-                _CACHE[key] = entry
-                while len(_CACHE) > CACHE_SIZE:
-                    _CACHE.popitem(last=False)
+            blockcache.store(key, entry)
         run, shape = entry
         sink = self.cpu._sink
         if sink is not None:  # a measured run: its block records name these words
-            code = key[1]
+            code = key[2]
             for i, (address, inst) in enumerate(items):
                 sink.describe(address, int.from_bytes(code[4 * i : 4 * i + 4], "big"), inst)
         timing = self.cpu.timing

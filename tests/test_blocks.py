@@ -13,6 +13,7 @@ The last classes rerun existing differential suites with every block
 translated.
 """
 
+import functools
 import random
 import time
 from collections import OrderedDict
@@ -22,8 +23,12 @@ from dataclasses import replace
 import pytest
 
 from repro.asm.assembler import assemble
+from repro.baselines.vax import engine as vengine
+from repro.baselines.vax.assembler import assemble_vax
+from repro.baselines.vax.cpu import VaxCPU
+from repro.baselines.vax.isa import INSTRUCTIONS
 from repro.cc.driver import compile_program
-from repro.core import engine
+from repro.core import blockcache, engine
 from repro.core.api import StepLimitExceeded
 from repro.core.cpu import CPU
 from repro.core.program import Program, Segment
@@ -611,19 +616,33 @@ def test_patched_program_never_runs_a_stale_block(monkeypatch):
         program.entry,
         program.symbols,
     )
-    cached = len(engine._CACHE)
+    cached = len(blockcache._CACHE)
     second = assert_same(patched)
     assert second != first
-    assert len(engine._CACHE) > cached  # the patched block was translated anew
+    assert len(blockcache._CACHE) > cached  # the patched block was translated anew
     assert assert_same(program) == first
 
 
-def test_cache_is_bounded(monkeypatch):
-    monkeypatch.setattr(engine, "PROMOTE", 1)
-    monkeypatch.setattr(engine, "CACHE_SIZE", 4)
-    monkeypatch.setattr(engine, "_CACHE", type(engine._CACHE)())
-    assert_same(compile_program(ALL_WORKLOADS["towers"].source(), target="risc1").program)
-    assert len(engine._CACHE) == 4
+def _towers(target):
+    return compile_program(ALL_WORKLOADS["towers"].source(), target=target).program
+
+
+#: each machine: its engine module, a differential check, a program
+MACHINES = {
+    "risc1": (engine, assert_same, lambda: _towers("risc1")),
+    "cisc": (vengine, diff.assert_vax_identical, lambda: _towers("cisc")),
+}
+
+
+@pytest.mark.parametrize("machine", sorted(MACHINES))
+def test_cache_is_bounded(machine, monkeypatch):
+    module, check, program = MACHINES[machine]
+    monkeypatch.setattr(module, "PROMOTE", 1)
+    monkeypatch.setattr(blockcache, "CACHE_SIZE", 4)
+    monkeypatch.setattr(blockcache, "_CACHE", type(blockcache._CACHE)())
+    check(program())
+    assert len(blockcache._CACHE) == 4
+    assert {key[0] for key in blockcache._CACHE} == {machine}
 
 
 class _YieldingCache(OrderedDict):
@@ -641,22 +660,31 @@ def _yielding_exec(code, *namespaces):
     time.sleep(1e-4)
 
 
-def test_engines_in_threads_share_the_cache(monkeypatch):
+@pytest.mark.parametrize("machine", sorted(MACHINES))
+def test_engines_in_threads_share_the_cache(machine, monkeypatch):
     """Engines in several threads translate, look up and evict at once;
     each thread yields between a lookup or a definition and what follows."""
     monkeypatch.setattr(engine, "PROMOTE", 1)
-    monkeypatch.setattr(engine, "CACHE_SIZE", 8)  # evictions race with lookups
-    monkeypatch.setattr(engine, "_CACHE", _YieldingCache())
-    monkeypatch.setattr(engine, "exec", _yielding_exec, raising=False)
+    monkeypatch.setattr(vengine, "PROMOTE", 1)
+    monkeypatch.setattr(blockcache, "CACHE_SIZE", 8)  # evictions race with lookups
+    monkeypatch.setattr(blockcache, "_CACHE", _YieldingCache())
+    monkeypatch.setattr(blockcache, "exec", _yielding_exec, raising=False)
     engine._alu_factory.cache_clear()
-    programs = [soup(seed)[0] for seed in range(4)] + [
-        compile_program(ALL_WORKLOADS[name].source(), target="risc1").program
+    vengine._factory.cache_clear()
+    if machine == "risc1":
+        runner = functools.partial(run, max_steps=20_000)
+        programs = [soup(seed)[0] for seed in range(4)]
+    else:
+        runner = functools.partial(diff.run_vax, max_steps=20_000)
+        programs = [vax_soup(seed) for seed in range(4)]
+    programs += [
+        compile_program(ALL_WORKLOADS[name].source(), target=machine).program
         for name in ("towers", "qsort")
     ]
-    expected = [run(program, "reference", max_steps=20_000) for program in programs]
+    expected = [runner(program, "reference") for program in programs]
 
     def runs(order):
-        return [(i, run(programs[i], "fast", max_steps=20_000)) for i in order]
+        return [(i, runner(programs[i], "fast")) for i in order]
 
     with ThreadPoolExecutor(4) as pool:
         orders = [random.Random(t).sample(range(len(programs)), len(programs))
@@ -682,10 +710,11 @@ class _EveryBlock:
     @pytest.fixture(autouse=True)
     def _promote_every_head(self, monkeypatch):
         monkeypatch.setattr(engine, "PROMOTE", 1)
+        monkeypatch.setattr(vengine, "PROMOTE", 1)
 
 
 class TestWorkloadParityEveryBlock(_EveryBlock, diff.TestWorkloadParity):
-    test_vax_untraced = test_vax_traced = None  # the VAX engine has no block tier
+    pass
 
 
 class TestSelfModifyingCodeEveryBlock(_EveryBlock, diff.TestSelfModifyingCode):
@@ -693,10 +722,405 @@ class TestSelfModifyingCodeEveryBlock(_EveryBlock, diff.TestSelfModifyingCode):
 
 
 class TestSnapshotRestoreEveryBlock(_EveryBlock, diff.TestSnapshotRestore):
-    test_vax_roundtrip = None
+    pass
 
 
 @pytest.mark.parametrize("case", sorted(case for case in retire.CASES if "risc" in case))
 def test_retire_stream_every_block(case, monkeypatch):
     monkeypatch.setattr(engine, "PROMOTE", 1)
     retire.test_matches_golden(case, "fast")
+
+
+# -- the VAX block tier --------------------------------------------------------------
+
+
+@pytest.fixture(params=[1, vengine.PROMOTE], ids=["promote1", "default"])
+def vax_promote(request, monkeypatch):
+    """The VAX engine's promotion threshold of the run; returns it."""
+    monkeypatch.setattr(vengine, "PROMOTE", request.param)
+    return request.param
+
+
+@pytest.fixture
+def vax_tally(monkeypatch):
+    """Full VAX block runs and block exits of every fast run, summed."""
+    seen = {"runs": 0, "exits": 0}
+    fold = vengine.VaxEngine._fold
+
+    def counted_fold(self, block):
+        seen["runs"] += block.runs
+        seen["exits"] += sum(block.cuts)
+        fold(self, block)
+
+    monkeypatch.setattr(vengine.VaxEngine, "_fold", counted_fold)
+    return seen
+
+
+def assert_vax_same(source, **kwargs):
+    """Fast and reference agree on the assembled ``source``; returns how
+    the reference run ended and the program."""
+    program = assemble_vax(source)
+    return diff.assert_vax_identical(program, **kwargs)["outcome"], program
+
+
+#: a load through each pointer of ``table`` in turn, then a store through
+#: it; the last pointer is ``BAD``
+VAX_BAD_POINTER = """
+__start:
+    moval @#table, r2
+    clrl r6
+loop:
+    movl (r2), r3
+    addl2 #4, r2
+read: addl2 ADDEND, r6
+write: movl r6, (r3)
+    incl r6
+    brb loop
+.data
+table: .long cell, cell, cell, cell, BAD
+cell: .long 7
+"""
+
+#: ``divl3`` by a divisor that counts down to zero, mid-block
+VAX_DIVIDE_BY_ZERO = """
+__start:
+    movl #5, r5
+    movl #1000, r6
+loop:
+    addl2 #1, r1
+fault: divl3 r5, r6, r2
+    addl2 r2, r3
+    decl r5
+    brb loop
+"""
+
+#: each pass rewrites the literal of ``patch``, a later instruction of the
+#: same block, before it runs
+VAX_PATCH_LATER = """
+__start:
+    movl #6, r5
+    clrl r6
+    moval @#patch, r2
+loop:
+    movb r5, 1(r2)
+    addl2 #3, r6
+patch: addl2 #1, r6
+    decl r5
+    bneq loop
+    movl r6, r0
+    halt
+"""
+
+#: a counted loop of one block with two loads and a store
+VAX_COUNTED_LOOP = """
+__start:
+    moval @#cells, r2
+    movl #40, r5
+    clrl r6
+loop:
+    addl2 (r2), r6
+    addl3 r6, 4(r2), r3
+    movl r3, 4(r2)
+    decl r5
+    bneq loop
+    movl r6, r0
+    halt
+.data
+cells: .long 3, 5
+"""
+
+
+class TestVaxBlockExits:
+    @pytest.mark.parametrize("bad", ["0x200000", "0x7F000010"])
+    @pytest.mark.parametrize("at", ["read", "write"])
+    def test_bus_error_mid_block(self, vax_promote, vax_tally, at, bad):
+        # the read faults through (r3); the write, with a safe read, too
+        addend = "(r3)" if at == "read" else "#1"
+        end, program = assert_vax_same(
+            VAX_BAD_POINTER.replace("ADDEND", addend).replace("BAD", bad)
+        )
+        assert (end[0], end[1], end[3]) == ("trap", TrapKind.BUS_ERROR, program.symbol(at))
+        if vax_promote == 1:
+            assert vax_tally["runs"] and vax_tally["exits"]
+
+    def test_mmio_store_mid_block(self, vax_promote, vax_tally):
+        # every pointer is the console: each pass prints, the last traps
+        source = VAX_BAD_POINTER.replace("ADDEND", "#65").replace("cell, ", "0x7F000000, ")
+        end, program = assert_vax_same(source.replace("BAD", "0x200000"))
+        assert end[:2] == ("trap", TrapKind.BUS_ERROR)
+        # r6 is 65, 131, 197 and 263 at the four stores
+        assert diff.run_vax(program, "reference")["console"] == "A\x83\xc5\x07"
+        if vax_promote == 1:
+            assert vax_tally["exits"] >= 4
+
+    def test_divide_by_zero_mid_block(self, vax_promote, vax_tally):
+        end, program = assert_vax_same(VAX_DIVIDE_BY_ZERO)
+        assert (end[0], end[1], end[3]) == (
+            "trap", TrapKind.ILLEGAL_INSTRUCTION, program.symbol("fault"))
+        if vax_promote == 1:
+            assert vax_tally["runs"] and vax_tally["exits"]
+
+    def test_store_into_a_later_instruction_of_the_block(self, vax_promote, vax_tally):
+        end, _program = assert_vax_same(VAX_PATCH_LATER)
+        # 6 passes of 3, plus the patched literals 6..1
+        assert end[0] == "halt" and end[1]["exit_code"] == 6 * 3 + sum(range(1, 7))
+        if vax_promote == 1:
+            assert vax_tally["exits"]
+
+    def test_budget_ends_inside_a_block(self, vax_promote, vax_tally):
+        program = assemble_vax(VAX_COUNTED_LOOP)
+        for budget in range(1, 130):
+            reference = diff.assert_vax_identical(program, max_steps=budget)
+            assert reference["outcome"][0] == "limit"
+        if vax_promote == 1:
+            assert vax_tally["runs"]
+
+    @pytest.mark.parametrize("chunk", [1, 7, 97])
+    @pytest.mark.parametrize("name", ["VAX_COUNTED_LOOP", "towers"])
+    def test_run_split_over_many_calls(self, vax_promote, vax_tally, chunk, name):
+        """Blocks kept across ``run()`` calls change nothing."""
+        if name == "towers":
+            program = diff.workload_program("towers", "cisc")
+        else:
+            program = assemble_vax(VAX_COUNTED_LOOP)
+        reference = diff.run_vax(program, "reference")
+        cpu = VaxCPU()
+        cpu.load(program)
+        while True:
+            try:
+                result = cpu.run(max_steps=chunk, engine="fast")
+                break
+            except StepLimitExceeded:
+                pass
+        assert result.to_dict() == reference["outcome"][1]
+        assert list(cpu.regs) == reference["regs"]
+        assert (cpu.n, cpu.z, cpu.v, cpu.c) == reference["flags"]
+        if vax_promote == 1 and chunk > 7:
+            assert vax_tally["runs"]
+
+
+@pytest.mark.parametrize("m", sorted(set(vengine.SEMANTICS) - {"moval"}))
+def test_vax_flag_rules_at_their_edges(m, monkeypatch):
+    """Each table mnemonic over every pair of edge values, as the last
+    instruction of a block: the flags it leaves, its result and stats
+    match the reference, in a block and on the per-instruction tier."""
+    operands = INSTRUCTIONS[m].operands
+    reads = sum(spec.access in "rm" for spec in operands)
+    names = iter(("r1", "r2") if operands[-1].access == "m" else ("r1", "r2", "r3"))
+    instruction = f"{m} {', '.join(next(names) for _ in operands)}"
+    for a in _EDGES:
+        for b in _EDGES if reads > 1 else (0,):
+            program = assemble_vax(
+                f"__start:\n movl #{a}, r1\n movl #{b}, r2\n {instruction}\n halt\n")
+            reference = diff.run_vax(program, "reference")
+            for threshold in (1, vengine.PROMOTE):
+                monkeypatch.setattr(vengine, "PROMOTE", threshold)
+                assert diff.run_vax(program, "fast") == reference, (a, b)
+
+
+def test_vax_semantics_cover_every_straight_line_mnemonic():
+    hand_written = {"halt", "calls", "ret", "jmp", "pushl"}
+    straight = {m for m, info in INSTRUCTIONS.items() if info.kind != "branch"}
+    assert set(vengine.SEMANTICS) == straight - hand_written
+    assert set(vengine.BRANCHES) == {m for m, info in INSTRUCTIONS.items()
+                                     if info.kind == "branch"} - {"jmp"}
+
+
+# -- a seeded soup of random VAX sequences -----------------------------------------
+
+#: the soup's straight-line mnemonics; it places branches, CALLS and RET
+_VAX_OPS = sorted(m for m, info in INSTRUCTIONS.items()
+                  if info.kind not in ("branch", "calls", "ret", "control"))
+_VAX_BRANCHES = sorted(m for m, info in INSTRUCTIONS.items()
+                       if info.kind == "branch" and m != "jmp")
+#: addl2, subl2, bisl2, xorl2, andl2: the same operands, so a store of one
+#: opcode over another leaves the code decodable
+_PATCH_OPCODES = (0xC0, 0xC2, 0xC8, 0xCC, 0xE0)
+_VAX_MODES = ("register", "deferred", "disp", "frame", "absolute", "autoinc", "autodec",
+              "literal", "immediate")
+#: the values at which carries, borrows, overflows and signs turn
+_EDGES = (0, 1, 2, 0x7FFFFFFE, 0x7FFFFFFF, 0x80000000, 0x80000001, 0xFFFFFFFE, 0xFFFFFFFF)
+
+
+def _vax_value(rng, bits: int = 32) -> int:
+    """A random value of ``bits``, an edge value half the time."""
+    return (rng.choice(_EDGES) if rng.random() < 0.5 else rng.randrange(1 << 32)) % (1 << bits)
+#: the soup's pointers, set at the top of every pass: r7 walks the data
+#: by autoincrement and autodecrement, r8 is the console, r9 a patchable
+#: instruction, r10 the data; r11 counts the passes
+_VAX_SOUP_TOP = """
+    moval @#data, r10
+    moval @#data+160, r7
+    movl #0x7F000000, r8
+    moval @#{patch}, r9
+"""
+
+
+def _vax_operand(rng, access: str, width: int, used: set, m: str) -> str:
+    modes = list(_VAX_MODES)
+    if access != "r":
+        modes.remove("literal")
+        modes.remove("immediate")
+    if access == "a":
+        modes.remove("register")
+    mode = rng.choice(modes)
+    used.add((m, mode))
+    if mode == "literal":
+        return f"#{rng.randrange(64)}"
+    if mode == "immediate":
+        return f"#{max(_vax_value(rng, 8 * width), 64)}"
+    if mode == "register":
+        # mostly the free registers; now and then a pointer of the soup
+        if rng.random() < 0.95:
+            return f"r{rng.randrange(7)}"
+        return f"r{rng.choice((7, 10))}"
+    if mode == "deferred":
+        return "(r10)"
+    if mode == "disp":
+        return f"{rng.randrange(256)}(r10)"
+    if mode == "frame":
+        return f"-{rng.randrange(1, 32) * 4}(fp)"
+    if mode == "absolute":
+        return f"@#data+{rng.randrange(256)}"
+    return "(r7)+" if mode == "autoinc" else "-(r7)"
+
+
+def _vax_instruction(rng, m: str, used: set) -> str:
+    operands = [_vax_operand(rng, spec.access, spec.width, used, m)
+                for spec in INSTRUCTIONS[m].operands]
+    if any(op == "(r7)+" or op == "-(r7)" for op in operands) and rng.random() < 0.4:
+        # an autoincrement on a register the same instruction reads
+        operands[rng.randrange(len(operands))] = "r7"
+    return f"{m} {', '.join(operands)}"
+
+
+def vax_soup_source(seed: int) -> tuple[str, set]:
+    """A loop over random VAX statements, and the (mnemonic, mode) pairs
+    it used.  Statements: any straight-line mnemonic over any addressing
+    mode; forward branches and ``jmp``; argument pushes and a CALLS of a
+    procedure that saves a random register mask; patchable ``addl2``
+    instructions and byte stores over them (opcode or literal, absolute
+    or through ``r9``, before or after they run); console stores (absolute
+    or through ``r8``), a store to an unknown MMIO address now and then,
+    and a divide by a zero literal."""
+    rng = random.Random(seed)
+    size = rng.randrange(16, 40)
+    patches = sorted(rng.sample(range(size), 3))
+    used: set = set()
+    body = []
+    for i in range(size):
+        if i in patches:
+            body.append(f"addl2 #{rng.randrange(64)}, r{rng.randrange(7)}")
+            continue
+        kind = rng.choices(
+            ("op", "branch", "jmp", "calls", "patch", "console", "mmio", "divide"),
+            (24, 4, 1, 2, 3, 2, 0.05, 0.05),
+        )[0]
+        target = f"l{rng.randrange(i + 1, size + 1)}"
+        if kind == "op":
+            body.append(_vax_instruction(rng, rng.choice(_VAX_OPS), used))
+        elif kind == "branch":
+            body.append(f"{rng.choice(_VAX_BRANCHES)} {target}")
+        elif kind == "jmp":
+            body.append(f"jmp @#{target}")
+        elif kind == "calls":
+            count = rng.randrange(3)
+            pushes = [f"pushl {_vax_operand(rng, 'r', 4, used, 'pushl')}" for _ in range(count)]
+            body.append("\n    ".join(pushes + [f"calls #{count}, @#proc"]))
+        elif kind == "patch":
+            patch = f"p{rng.choice(patches)}"
+            body.append(rng.choice((
+                f"movb #{rng.choice(_PATCH_OPCODES)}, @#{patch}",
+                f"movb #{rng.randrange(64)}, @#{patch}+1",
+                f"movb #{rng.randrange(64)}, 1(r9)",
+            )))
+        elif kind == "console":
+            body.append(rng.choice((f"movl r{rng.randrange(7)}, @#0x7F000004",
+                                    f"movb r{rng.randrange(7)}, (r8)")))
+        elif kind == "mmio":
+            body.append(f"movl r{rng.randrange(7)}, @#0x7F000010")
+        else:
+            body.append(f"divl3 #0, r{rng.randrange(7)}, r{rng.randrange(7)}")
+    proc = [_vax_instruction(rng, rng.choice(_VAX_OPS), used) for _ in range(rng.randrange(1, 6))]
+    lines = ["__start:", f"    movl #{rng.randrange(2, 130)}, r11"]
+    lines += [f"    movl #{_vax_value(rng)}, r{reg}" for reg in range(7)]
+    lines += ["top:", _VAX_SOUP_TOP.format(patch=f"p{patches[0]}")]
+    for i, statement in enumerate(body):
+        label = f"p{i}: " if i in patches else ""
+        lines.append(f"l{i}: {label}{statement}")
+    # each pass ends by pushing a word for each of C, Z and N that is clear
+    # (PUSHL sets no flag), so every pass's flags reach the memory image
+    lines += [f"l{size}:", "    blssu c1", "    pushl #1", "c1: beql c2", "    pushl #2",
+              "c2: blss c3", "    pushl #3", "c3: decl r11", "    bneq top",
+              "    movl r0, @#0x7F000004", "    halt", "proc:",
+              f"    .word {rng.randrange(1 << 12) & 0xFFC:#x}"]
+    lines += [f"    {statement}" for statement in proc] + ["    ret", ".data", "data:"]
+    lines += [f"    .long {_vax_value(rng):#x}" for _ in range(80)]
+    return "\n".join(lines) + "\n", used
+
+
+def vax_soup(seed: int) -> Program:
+    return assemble_vax(vax_soup_source(seed)[0])
+
+
+class TestVaxSoup:
+    """Each soup on the reference loop and on the fast engine, with every
+    head translated at once and at the default threshold: stats,
+    registers, flags, the memory image, console and how the run ended
+    (trap kind and PC included) must agree."""
+
+    SEEDS = range(150)
+
+    def test_random_sequences(self, monkeypatch, vax_tally):
+        ends, used = set(), set()
+        for seed in self.SEEDS:
+            source, pairs = vax_soup_source(seed)
+            used |= pairs
+            program = assemble_vax(source)
+            reference = diff.run_vax(program, "reference", max_steps=4000)
+            for threshold in (1, vengine.PROMOTE):
+                monkeypatch.setattr(vengine, "PROMOTE", threshold)
+                assert diff.run_vax(program, "fast", max_steps=4000) == reference, seed
+            ends.add(reference["outcome"][0] if reference["outcome"][0] != "trap"
+                     else reference["outcome"][1])
+        assert {"halt", "limit", TrapKind.BUS_ERROR, TrapKind.ILLEGAL_INSTRUCTION} <= ends
+        assert vax_tally["runs"] and vax_tally["exits"]
+        # every mnemonic the soup draws, over every mode its access allows
+        expected = {
+            (m, mode)
+            for m in _VAX_OPS
+            for spec in INSTRUCTIONS[m].operands
+            for mode in _VAX_MODES
+            if (spec.access == "r" or mode not in ("literal", "immediate"))
+            and (spec.access != "a" or mode != "register")
+        }
+        assert expected <= used
+
+
+# -- existing VAX differential suites, every block translated ----------------------
+
+
+class _EveryVaxBlock:
+    @pytest.fixture(autouse=True)
+    def _promote_every_head(self, monkeypatch):
+        monkeypatch.setattr(vengine, "PROMOTE", 1)
+
+
+class TestVaxInstructionParityEveryBlock(_EveryVaxBlock, diff.TestVaxInstructionParity):
+    pass
+
+
+class TestVaxTrapParityEveryBlock(_EveryVaxBlock, diff.TestVaxTrapParity):
+    pass
+
+
+class TestVaxSelfModifyingCodeEveryBlock(_EveryVaxBlock, diff.TestVaxSelfModifyingCode):
+    pass
+
+
+class TestVaxHookSeesLiveStatsEveryBlock(_EveryVaxBlock, diff.TestVaxHookSeesLiveStats):
+    pass
+
+
+class TestStepLimitParityEveryBlock(_EveryVaxBlock, diff.TestStepLimitParity):
+    pass
