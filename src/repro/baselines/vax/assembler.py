@@ -36,7 +36,7 @@ from repro.asm.core import (
     parse_number,
     split_symbol,
 )
-from repro.baselines.vax.isa import INSTRUCTIONS, Mode, REGISTER_NAMES, OperandSpec
+from repro.baselines.vax.isa import INSTRUCTIONS, PC, Mode, REGISTER_NAMES, OperandSpec
 from repro.core.program import DEFAULT_CODE_BASE, Program
 
 _REG_TEXT = r"(?:r\d{1,2}|sp|fp|ap|pc)"
@@ -47,9 +47,12 @@ _AUTODEC_RE = re.compile(rf"^-\(({_REG_TEXT})\)$", re.IGNORECASE)
 
 
 def _reg_lookup(name: str, line: int) -> int:
+    """A general register: the PC (r15) is named only by ``#`` and ``@#``."""
     number = REGISTER_NAMES.get(name.lower())
     if number is None:
         raise AssemblerError(f"bad register {name!r}", line)
+    if number == PC:
+        raise AssemblerError(f"the PC is not a general register: {name!r}", line)
     return number
 
 
@@ -105,9 +108,8 @@ def parse_operand(text: str, line: int) -> Operand:
         if NAME_RE.match(rest) and not rest.lstrip("-").isdigit():
             return Operand("immediate", symbol=rest, text=text)
         return immediate(parse_number(rest, line), text)
-    lowered = text.lower()
-    if lowered in REGISTER_NAMES:
-        return Operand("register", reg=REGISTER_NAMES[lowered], text=text)
+    if text.lower() in REGISTER_NAMES:
+        return Operand("register", reg=_reg_lookup(text, line), text=text)
     match = _AUTODEC_RE.match(text)
     if match:
         return Operand("autodec", reg=_reg_lookup(match.group(1), line), text=text)

@@ -19,6 +19,7 @@ from repro.baselines.vax.isa import (
     DISP_SIZES,
     FP,
     Mode,
+    PC,
     SP,
     VaxOpcodeInfo,
 )
@@ -129,44 +130,20 @@ class VaxCPU(MachineShell):
         #: execution, with ``pc`` at the fall-through — identically on
         #: both engines.
         self.on_execute = None
-        #: the translating engine (:mod:`repro.baselines.vax.engine`),
-        #: built by the first fast run after a load or restore
-        self._engine = None
 
     def load(self, program: Program) -> None:
         super().load(program)
-        self._drop_translations()
         self.regs[SP] = self._stack_top
         self.regs[FP] = self._stack_top
         self.regs[AP] = self._stack_top
 
     # -- execution --------------------------------------------------------------
 
-    def _run_steps(self, limit: int, engine: str) -> None:
-        """``"fast"`` is the translating engine of
-        :mod:`repro.baselines.vax.engine`; ``"reference"`` the plain
-        ``step()`` loop."""
-        if engine == "fast" and self._program is not None:
-            if self._engine is None:
-                from repro.baselines.vax.engine import VaxEngine
+    def _make_engine(self):
+        """The translating engine of :mod:`repro.baselines.vax.engine`."""
+        from repro.baselines.vax.engine import VaxEngine
 
-                self._engine = VaxEngine(self)
-            try:
-                self._engine.run(limit)
-            except BaseException:
-                # the run ended in a halt or a trap: the translations go,
-                # and with them the reference cycles through this machine,
-                # so it is freed as soon as it is dropped
-                self._drop_translations()
-                raise
-        else:
-            for _ in range(limit):
-                self.step()
-
-    def _drop_translations(self) -> None:
-        if self._engine is not None:
-            self._engine.close()
-            self._engine = None
+        return VaxEngine(self)
 
     def step(self) -> None:
         pc = self.pc
@@ -217,9 +194,6 @@ class VaxCPU(MachineShell):
 
     # -- snapshot / restore ------------------------------------------------------
 
-    # Translations are *not* state — they are rebuilt on demand and dropped
-    # on restore (the restored memory may hold different bytes).
-
     def _snapshot_state(self) -> dict:
         return {
             "depth": self._depth,
@@ -231,7 +205,6 @@ class VaxCPU(MachineShell):
         self._depth = state["depth"]
         self.regs[:] = state["regs"]
         self.n, self.z, self.v, self.c = state["flags"]
-        self._drop_translations()
 
     # -- instruction stream ------------------------------------------------------
 
@@ -254,6 +227,9 @@ class VaxCPU(MachineShell):
             return _Operand("imm", spec), "literal"
         mode = spec >> 4
         reg = spec & 0xF
+        if reg == PC and mode != Mode.AUTOINC and mode != Mode.ABSOLUTE:
+            # the PC is no general register: only immediate and absolute name it
+            raise Trap(TrapKind.ILLEGAL_INSTRUCTION, f"operand specifier {spec:#04x}")
         if mode == Mode.REGISTER:
             return _Operand("reg", reg), "register"
         if mode == Mode.DEFERRED:

@@ -13,16 +13,16 @@ runs it on two tiers that share one run loop:
   PUSHL are written by hand; every other closure is generated;
 * the *block tier* runs hot straight-line code.  A head is the PC after a
   branch, a CALLS, a RET, an instruction blocks do not cover or exited
-  before, or another block.  At a head's :data:`PROMOTE`-th visit, or at
-  once if it is cached (:mod:`repro.core.blockcache`, keyed on the
-  bytes), the instructions up to the first branch or ``jmp``, that
-  transfer included, become one generated function: operands inlined,
-  loads and stores through ``struct`` on the memory bytearray, N Z V C
-  in locals written back when it returns.  A block never raises: before
-  an out-of-range access, an MMIO store, a store into the code segment
-  or a zero divisor it returns with the exact PC and the per-instruction
-  tier runs that instruction.  Autoincrement and autodecrement
-  specifiers, CALLS, RET and HALT end a block before them.
+  before, or another block.  Under the promotion rule, cache and counts
+  the RISC I engine shares (:mod:`repro.core.blockcache`), the
+  instructions up to the first branch or ``jmp``, that transfer
+  included, become one generated function: operands inlined, loads and
+  stores through ``struct`` on the memory bytearray, N Z V C in locals
+  written back when it returns.  A block never raises: before an
+  out-of-range access, an MMIO store, a store into the code segment or a
+  zero divisor it returns with the exact PC and the per-instruction tier
+  runs that instruction.  Autoincrement and autodecrement specifiers,
+  CALLS, RET and HALT end a block before them.
 
 :data:`SEMANTICS` and :data:`BRANCHES` are the one place a straight-line
 mnemonic's operation and flag rule are written; both tiers are generated
@@ -32,12 +32,10 @@ Exactness is the contract: the same exit code, console, every
 :class:`~repro.baselines.vax.cpu.VaxStats` field, memory counters,
 registers, flags and tracer events as the reference loop
 (``tests/test_engine_diff.py``, ``tests/test_blocks.py``).  The fold rule
-is :class:`repro.core.engine.PredecodedEngine`'s: per-PC counts, and each
-block's runs and exits per prefix, are always kept.  A run is *observed*
-when a tracer kind is wanted or an ``on_execute`` hook is installed; it
-keeps the stats per step where ``step()`` does, calls the hook after
-operand evaluation with ``cpu.pc`` at the fall-through, and emits the
-reference's events.  An unobserved run folds ``instructions``,
+is :class:`repro.core.engine.PredecodedEngine`'s.  An *observed* run (the
+shell decides) keeps the stats per step where ``step()`` does, calls the
+hook after operand evaluation with ``cpu.pc`` at the fall-through, and
+emits the reference's events.  An unobserved run folds ``instructions``,
 ``inst_bytes``, ``by_mnemonic`` and ``cycles`` (count times static cost,
 plus ``memory_cycles`` per data reference) when the loop exits, and
 ``data_reads``/``data_writes`` from the memory counters, into which a
@@ -46,11 +44,9 @@ unobserved: each step appends its PC and the data-reference count so far
 to the retire stream.  Observed and measured runs stay per-instruction.
 
 Bytes that do not decode, bad specifiers and PCs outside the code
-segment run through ``cpu.step()`` for one step.  Translations survive
-across ``run()`` calls; a :attr:`Memory.write_watch` hook and an inline
-range check on translated stores drop the closures and blocks a store
-touches, and ``load()``/``restore()`` drop them all, as does a run that
-ends in a halt or a trap.
+segment run through ``cpu.step()`` for one step.  An inline range check
+on translated stores, and the engine's ``write_watch`` for every other
+write, drop the closures and blocks a write touches.
 """
 
 from __future__ import annotations
@@ -72,10 +68,6 @@ SIGN = 0x80000000
 
 #: The longest encoding: an opcode and three specifiers of five bytes.
 MAX_LENGTH = 16
-#: The block tier's promotion rule: a head is translated on this visit.
-PROMOTE = 100
-#: Longest block, in instructions.
-MAX_BLOCK = 64
 
 #: entry mask -> the registers CALLS saves (r2..r11), in push order
 _SAVED = {mask: tuple(r for r in range(2, 12) if mask >> r & 1) for mask in range(0x1000)}
@@ -120,10 +112,8 @@ BRANCHES = {
 #: the flags each rule sets
 _FLAGS = {"nz": "nz", "tst": "nzvc", "clr": "nzv", "add": "nzvc", "sub": "nzvc", "cmp": "nzvc"}
 _DIVIDE = "raise Trap(TrapKind.ILLEGAL_INSTRUCTION, 'integer divide by zero')"
-_U16, _U32 = struct.Struct(">H"), struct.Struct(">I")
 #: the globals every generated function shares (read only)
-_GLOBALS = {"Trap": Trap, "TrapKind": TrapKind, "U32": _U32.unpack_from,
-            "U16": _U16.unpack_from, "P32": _U32.pack_into, "P16": _U16.pack_into}
+_GLOBALS = {"Trap": Trap, "TrapKind": TrapKind, **blockcache.STRUCTS}
 
 
 def _flag_lines(rule: str, width: int, flag: str) -> list:
@@ -296,19 +286,6 @@ def _translate(items: list, size: int, lo: int, hi: int):
     return blockcache.define("\n".join(lines), "block", _GLOBALS), shape
 
 
-class _Block:
-    """A block installed in one engine: its function, shape and counts."""
-
-    __slots__ = ("run", "length", "end", "shape", "costs", "runs", "cuts")
-
-    def __init__(self, run, shape: _Shape, costs: tuple):
-        self.run, self.shape, self.costs = run, shape, costs
-        self.length, self.end = len(costs), shape.end
-        #: full runs, and ``cuts[k]``: exits after the first ``k`` instructions
-        self.runs = 0
-        self.cuts = [0] * self.length
-
-
 def _bus_error(address: int, width: int, size: int) -> MemoryError_:
     """The trap :class:`~repro.machine.memory.Memory` raises out of range."""
     return MemoryError_(
@@ -332,9 +309,8 @@ Translation = namedtuple("Translation", "info cost length fall branch_disp pre b
 class VaxEngine:
     """The fast executor bound to one :class:`~repro.baselines.vax.cpu.VaxCPU`.
 
-    Built on the first fast ``run()`` after a ``load()`` or ``restore()``
-    and kept until the next one, covering the loaded program's code
-    segment.
+    Covers the loaded program's code segment; the machine's shell builds
+    it and keeps it across ``run()`` calls.
     """
 
     def __init__(self, cpu):
@@ -363,14 +339,6 @@ class VaxEngine:
         self.observed = False
         #: the PC a handler moved to before it faulted (RET)
         self.fault_pc: int | None = None
-        cpu.memory.write_watch = self.note_write
-
-    def close(self) -> None:
-        """Drop every translation and block and detach from the memory."""
-        for table in (self.handlers, self.translations, self.counts, self.blocks, self.heat,
-                      self.resume):
-            table.clear()
-        self.cpu.memory.write_watch = None
 
     # -- bookkeeping -------------------------------------------------------
 
@@ -387,25 +355,19 @@ class VaxEngine:
                 stats.inst_bytes += count * t.length
                 stats.by_mnemonic[t.info.mnemonic] += count
 
-    def _fold(self, block: _Block) -> None:
+    def _fold(self, block: blockcache.Block) -> None:
         """Fold one block's counted runs and exits into the stats; its data
         references go to the memory counters, folded with the run's."""
         stats, traffic, shape = self.stats, self.mstats, block.shape
-        # instruction i ran in every full run and every exit after it
-        executed = block.runs
-        for i in reversed(range(block.length)):
-            if executed:
-                stats.instructions += executed
-                stats.cycles += executed * block.costs[i]
-                stats.inst_bytes += executed * shape.decoded[i].length
-                stats.by_mnemonic[shape.decoded[i].info.mnemonic] += executed
-                traffic.data_reads += executed * shape.reads[i]
-                traffic.data_writes += executed * shape.writes[i]
-            executed += block.cuts[i]
-        block.runs = 0
-        block.cuts = [0] * block.length
+        for i, executed in block.ran():
+            stats.instructions += executed
+            stats.cycles += executed * block.costs[i]
+            stats.inst_bytes += executed * shape.decoded[i].length
+            stats.by_mnemonic[shape.decoded[i].info.mnemonic] += executed
+            traffic.data_reads += executed * shape.reads[i]
+            traffic.data_writes += executed * shape.writes[i]
 
-    def note_write(self, address: int, width: int = 4) -> None:
+    def _note_write(self, address: int, width: int = 4) -> None:
         """Drop the translations and blocks a store of ``width`` bytes
         overlaps."""
         if address < self.code_hi and address + width > self.code_lo:
@@ -417,7 +379,7 @@ class VaxEngine:
                     if t is None or pc + t.length > address:
                         del handlers[pc]
             for head, block in list(self.blocks.items()):
-                if block and head < address + width and address < block.end:
+                if block and head < address + width and address < block.shape.end:
                     self._fold(block)
                     del self.blocks[head]
                     self.heat.pop(head, None)
@@ -463,7 +425,7 @@ class VaxEngine:
         lo, hi = self.code_lo, self.code_hi
         items: list = []
         pc = head
-        while lo <= pc < hi and len(items) < MAX_BLOCK:
+        while lo <= pc < hi and len(items) < blockcache.MAX_BLOCK:
             decoded = decode(self.mem, pc)
             if decoded is None or pc + decoded.length > hi or not _covers(
                     decoded, self.size, lo, hi):
@@ -475,23 +437,21 @@ class VaxEngine:
         return items
 
     def _promote(self, head: int, visits: int):
-        """A head's second visit, or its :data:`PROMOTE`-th: returns its
-        block if its translation is cached, or once it is due."""
+        """A head's second visit, or its ``PROMOTE``-th: installs and
+        returns its block if :func:`blockcache.promote` has one."""
         items = self._shape(head)
         if not items:
             self.blocks[head] = False
             return None
         end = items[-1][0] + items[-1][1].length
         key = ("cisc", head, bytes(self.mem[head:end]), self.size, self.code_lo, self.code_hi)
-        entry = blockcache.lookup(key)
+        entry = blockcache.promote(
+            key, visits, lambda: _translate(items, self.size, self.code_lo, self.code_hi))
         if entry is None:
-            if visits < PROMOTE:
-                return None
-            entry = _translate(items, self.size, self.code_lo, self.code_hi)
-            blockcache.store(key, entry)
+            return None
         run, shape = entry
         costs = tuple(_cost(self.cpu.timing, decoded) for decoded in shape.decoded)
-        block = self.blocks[head] = _Block(run, shape, costs)
+        block = self.blocks[head] = blockcache.Block(run, shape, costs)
         return block
 
     def _make(self, pc: int, decoded: Decoded) -> Translation:
@@ -605,7 +565,7 @@ class VaxEngine:
         mem, mstats, size = self.mem, self.mstats, self.size
         mask = (1 << (8 * width)) - 1
         code_lo, code_hi = self.code_lo, self.code_hi
-        note_write = self.note_write
+        note_write = self._note_write
         # the shell's store: the data_writes it counts are folded into
         # the VaxStats with every other reference
         mmio_store = MachineShell._mmio_store
@@ -640,7 +600,7 @@ class VaxEngine:
         regs = self.cpu.regs
         mem, mstats, size = self.mem, self.mstats, self.size
         code_lo, code_hi = self.code_lo, self.code_hi
-        note_write = self.note_write
+        note_write = self._note_write
 
         def push(value):
             sp = regs[SP] = (regs[SP] - 4) & WORD
@@ -813,17 +773,16 @@ class VaxEngine:
             if cpu._trace_retire:
                 cpu.tracer.retire(stats.cycles, pc, t.info.mnemonic, cycles)
 
-    def run(self, limit: int) -> None:
-        """Execute up to ``limit`` steps; raises on halt or trap.
+    def run(self, limit: int, observed: bool) -> None:
+        """Execute up to ``limit`` steps, ``observed`` or not; raises on
+        halt or trap.
 
         Returns normally only when the step budget ran out — the CPU's
         ``run()`` wrapper turns that into :class:`StepLimitExceeded`.
         """
         cpu = self.cpu
         mstats = cpu.memory.stats
-        observed = self.observed = bool(
-            cpu._trace_retire or cpu._trace_mem or cpu._trace_flow or cpu._trace_trap
-        ) or cpu.on_execute is not None
+        self.observed = observed
         observed_step = self._observed_step
         lookup = self.handlers.get
         translate = self._translate
@@ -832,11 +791,11 @@ class VaxEngine:
         record, batch = None, limit
         if sink is not None:  # a measured run: see repro.uarch.sink
             record, batch = sink.buf.append, sink.chunk
-            self.handlers.clear()  # retranslated, so described, as they run
         # blocks run where nothing watches single steps; ``head`` is the
         # PC after the last transfer or block (-1: never a head)
         hot = not observed and sink is None
-        blocks, heat, promote, promote_at = self.blocks, self.heat, self._promote, PROMOTE
+        blocks, heat, promote = self.blocks, self.heat, self._promote
+        promote_at = blockcache.PROMOTE
         resume = self.resume if hot else ()
         regs, mem = cpu.regs, self.mem
         pc = cpu.pc

@@ -150,7 +150,8 @@ class Specifier:
     keys of ``VaxTiming.specifier_cycles``): ``literal``, ``immediate``,
     ``register``, ``deferred``, ``autoinc``, ``autodec``, ``disp``,
     ``absolute`` or ``branch`` — or ``bad`` for a specifier byte the
-    machine does not implement.  ``value`` is the literal or immediate
+    machine does not implement, which includes every mode but immediate
+    and absolute on r15 (the PC).  ``value`` is the literal or immediate
     as encoded (unsigned), the absolute address, the signed
     displacement (``disp`` and ``branch``) or the offending byte
     (``bad``).
@@ -204,6 +205,9 @@ def decode(data: bytes | bytearray, offset: int) -> Decoded | None:
         mode, reg = byte >> 4, byte & 0xF
         if byte < 0x40:
             operand = Specifier("literal", 0, byte, access, width)
+        elif reg == PC and mode != Mode.AUTOINC and mode != Mode.ABSOLUTE:
+            # the PC is no general register: only immediate and absolute name it
+            operand = Specifier("bad", 0, byte, access, width)
         elif mode == Mode.REGISTER:
             operand = Specifier("register", reg, 0, access, width)
         elif mode == Mode.DEFERRED:

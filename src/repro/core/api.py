@@ -316,11 +316,19 @@ class MachineShell:
     output, the halt flag and exit code, tracer and metrics.  A subclass
     supplies:
 
-    * :meth:`_run_steps` — its execute step, run for at most ``limit``
-      instructions under the resolved engine;
+    * ``step()`` — its reference interpreter, one instruction;
+    * :meth:`_make_engine` — its fast engine;
     * :meth:`_snapshot_state` / :meth:`_restore_state` — its own
       register and flag state inside the common snapshot envelope;
     * :meth:`_sync_memory_stats` — when it folds counters lazily.
+
+    The shell owns the fast engine's lifetime, the same on both machines.
+    The engine is built by the first fast ``run()`` after :meth:`load` or
+    :meth:`restore` and kept across ``run()`` calls, attached to
+    ``memory.write_watch`` so that any write drops the translations it
+    covers.  It is dropped at :meth:`load` and :meth:`restore`, when a run
+    ends in a halt or a trap, and when a measured run starts (so that its
+    sink is told about every word the run executes).
     """
 
     name: str
@@ -338,6 +346,8 @@ class MachineShell:
         self._program = None
         #: the :mod:`repro.uarch.sink` retire sink of a measured run
         self._sink = None
+        #: the fast engine, while it lives (see the class docstring)
+        self._engine = None
 
     def _install_tracer(self, tracer) -> None:
         """Resolve the tracer once; the step loops only test booleans."""
@@ -356,6 +366,7 @@ class MachineShell:
 
     def load(self, program) -> None:
         """Load a program image and reset execution state."""
+        self._drop_engine()
         for segment in program.segments:
             self.memory.load_image(segment.base, segment.data)
         self.pc = program.entry
@@ -425,8 +436,42 @@ class MachineShell:
                 sink.close()
 
     def _run_steps(self, limit: int, engine: str) -> None:
-        """Execute up to ``limit`` instructions; :class:`MachineHalted` ends early."""
+        """Execute up to ``limit`` instructions, on the fast engine or by the
+        reference ``step()`` loop; :class:`MachineHalted` ends early."""
+        if engine != "fast" or self._program is None:
+            for _ in range(limit):
+                self.step()
+            return
+        if self._sink is not None:
+            # a measured run: its sink must be told about every word it runs
+            self._drop_engine()
+        if self._engine is None:
+            self._engine = self._make_engine()
+            self.memory.write_watch = self._engine._note_write
+        # observers read the stats mid-run: an observed run keeps them per step
+        observed = bool(
+            self._trace_retire or self._trace_mem or self._trace_flow
+            or self._trace_window or self._trace_trap
+        ) or self.on_execute is not None
+        try:
+            self._engine.run(limit, observed)
+        except BaseException:
+            self._drop_engine()  # the run ended in a halt or a trap
+            raise
+
+    def _make_engine(self):
+        """This machine's fast engine, bound to it."""
         raise NotImplementedError
+
+    def _drop_engine(self) -> None:
+        """Detach the fast engine from the memory and drop it.  Each of its
+        runs folded its counts as it ended.  Its closures point back at it
+        and at this machine, so its tables are emptied too: reference
+        counting alone then frees a dropped machine."""
+        engine, self._engine = self._engine, None
+        if engine is not None:
+            self.memory.write_watch = None
+            vars(engine).clear()
 
     def _halt(self, code: int) -> None:
         self._halted = True
@@ -506,6 +551,7 @@ class MachineShell:
         if len(image) != self.memory.size:
             raise ValueError("snapshot memory image does not match its declared size")
         self._restore_state(state)
+        self._drop_engine()
         self.pc = state["pc"]
         self._halted = state["halted"]
         self._exit_code = state["exit_code"]

@@ -109,16 +109,11 @@ class CPU(MachineShell):
 
     # -- execution ----------------------------------------------------------
 
-    def _run_steps(self, limit: int, engine: str) -> None:
-        """``"fast"`` is the predecoded engine of :mod:`repro.core.engine`;
-        ``"reference"`` the plain ``step()`` loop."""
-        if engine == "fast" and self._program is not None:
-            from repro.core.engine import PredecodedEngine
+    def _make_engine(self):
+        """The predecoded engine of :mod:`repro.core.engine`."""
+        from repro.core.engine import PredecodedEngine
 
-            PredecodedEngine(self).run(limit)
-        else:
-            for _ in range(limit):
-                self.step()
+        return PredecodedEngine(self)
 
     def raise_interrupt(self, vector: int) -> None:
         """Latch an external interrupt request.

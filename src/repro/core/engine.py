@@ -15,40 +15,35 @@ on two tiers that share one run loop:
   latched interrupt) reached after a transfer's delay slot or another
   block, and covers the ALU/``LDHI``/load/store instructions up to the
   first ``JMP``/``JMPR``/``CALL``/``CALLR``/``RET`` and its delay slot.
-  After :data:`PROMOTE` visits to a head the block is generated as one
-  Python function over ``R[w[r]]`` (``w`` the current window's row of
-  physical indices), cached process-wide on the words it translates
-  (:mod:`repro.core.blockcache`, shared with the VAX engine).  A
-  block never raises: before a misaligned or out-of-range access, a
-  store at or above the MMIO base or a store into a translated word it
-  returns with exact ``pc``/``npc``, and the per-word tier runs that
-  instruction.  See ``docs/ENGINE.md`` ("Two tiers").
+  The block is generated as one Python function over ``R[w[r]]`` (``w``
+  the current window's row of physical indices) under the promotion
+  rule, cache and counts the VAX engine shares
+  (:mod:`repro.core.blockcache`).  A block never raises: before a
+  misaligned or out-of-range access, a store at or above the MMIO base
+  or a store into a translated word it returns with exact ``pc``/``npc``,
+  and the per-word tier runs that instruction.  See ``docs/ENGINE.md``
+  ("The block tier", "Two tiers").
 
 Exactness is the contract: the same exit code, output, every
 :class:`~repro.core.stats.ExecutionStats` field, memory-traffic counter
 and tracer event as the reference loop (``tests/test_engine_diff.py`` and
 ``tests/test_blocks.py`` check it differentially).  Counters are folded
-late, under one rule: per-word execution counts, per-block run and exit
-counts and a fetch counter are always kept, and folded into ``by_opcode``
-(and ``inst_fetches`` and the blocks' data traffic) when a word is
-recompiled, a block is uninstalled or the loop exits.  A run is
-*observed* when a tracer kind is wanted or an ``on_execute`` hook is
-installed: observers read ``instructions`` and ``cycles`` mid-run, so an
-observed run advances them per step where the reference loop does, and
-an unobserved run folds them too.  A uarch probe reads nothing mid-run:
-its run stays unobserved, on both tiers, and feeds the retire stream
-(:mod:`repro.uarch.sink`), drained between batches of at most
-``sink.chunk`` iterations.  The per-word tier appends each PC; a block
-appends one record for each run, ``head | done << 32`` (its head and the
-instructions it ran, an exit's prefix included), after describing its
-words to the sink when it is installed.  Observed runs stay on the
-per-word tier.
+late: per-word execution counts, each block's counts and a fetch counter
+are folded into ``by_opcode`` (and ``inst_fetches`` and the blocks' data
+traffic) when a word is recompiled, a block is uninstalled or the loop
+exits.  An *observed* run (the shell decides) advances ``instructions``
+and ``cycles`` per step where the reference loop does and stays on the
+per-word tier; an unobserved run folds them too.  A uarch probe leaves a
+run unobserved, on both tiers, feeding the retire stream
+(:mod:`repro.uarch.sink`): the per-word tier appends each PC, a block one
+``head | done << 32`` record per run, after describing its words to the
+sink when it is installed.
 
 ``GTLPC``/``CALLINT`` (they read the previous PC), undecodable words and
 PCs outside the predecoded span fall back to ``cpu.step()`` for one step.
 Self-modifying code is safe: translated stores check the predecoded span
-inline and a :attr:`Memory.write_watch` hook catches every other write
-(window spills, fallback steps), so a written word — and any block over
+inline, and the engine is the memory's ``write_watch`` while the shell
+keeps it, for every other write, so a written word — and any block over
 it — is translated again before it next runs.
 """
 
@@ -90,20 +85,13 @@ _HOLDS = {
     for cond, test in COND_TEST.items()
 }
 
-#: The block tier's promotion rule: a head is translated on this visit.
-#: Translating costs about 52 us per instruction of the block and saves
-#: about 0.45 us per instruction run, so a block repays its translation
-#: after about 100 visits whatever its length (docs/ENGINE.md, "Two tiers").
-PROMOTE = 100
-#: Longest block, in instructions (a transfer and its delay slot may add one).
-MAX_BLOCK = 64
-
 _LOGIC = {Opcode.AND: "&", Opcode.OR: "|", Opcode.XOR: "^"}
 _ALU_OPS = frozenset({Opcode.ADD, Opcode.SUB, Opcode.SLL, Opcode.SRL, Opcode.SRA, *_LOGIC})
 #: what a block may hold before its transfer and delay slot
 _STRAIGHT = _ALU_OPS | {Opcode.LDHI, *CPU._LOAD_SPEC, *CPU._STORE_SPEC}
 _TRANSFERS = frozenset({Opcode.JMP, Opcode.JMPR, Opcode.CALL, Opcode.CALLR, Opcode.RET})
-_STRUCTS = {width: struct.Struct(code) for width, code in ((1, ">B"), (2, ">H"), (4, ">I"))}
+#: the ``struct`` code of a load or store of each width
+_FORMATS = {1: ">B", 2: ">H", 4: ">I"}
 
 
 @lru_cache(maxsize=None)
@@ -178,13 +166,7 @@ def _alu_lines(op: Opcode, scc: bool, a: str, b: str, dest: str | None) -> list:
 
 
 #: the globals every generated function shares (read only)
-_GLOBALS = {
-    "CC": CC_TABLE,
-    "U32": _STRUCTS[4].unpack_from,
-    "U16": _STRUCTS[2].unpack_from,
-    "P32": _STRUCTS[4].pack_into,
-    "P16": _STRUCTS[2].pack_into,
-}
+_GLOBALS = {"CC": CC_TABLE, **blockcache.STRUCTS}
 
 
 @lru_cache(maxsize=None)
@@ -206,7 +188,7 @@ def _alu_factory(op: Opcode, scc: bool, imm: bool, dest: bool):
 #: what a block's accounting needs, fixed by its words: ``last`` is the
 #: address of its last instruction, ``pend`` the CALL/RET window change
 #: applied after the delay slot, ``loads``/``stores`` flag each instruction
-_Shape = namedtuple("_Shape", "length last pend ops loads stores")
+_Shape = namedtuple("_Shape", "last pend ops loads stores")
 
 
 def _translate(items: list, base: int, span: int, mem_size: int):
@@ -297,32 +279,16 @@ def _translate(items: list, base: int, span: int, mem_size: int):
         end = items[-1][0] + 4
         emit(f"return {length}, {end}, {end + 4}")
     ops = tuple(inst.opcode for _, inst in items)
-    shape = _Shape(length, items[-1][0], pend, ops, tuple(op in CPU._LOAD_SPEC for op in ops),
+    shape = _Shape(items[-1][0], pend, ops, tuple(op in CPU._LOAD_SPEC for op in ops),
                    tuple(op in CPU._STORE_SPEC for op in ops))
     return blockcache.define("\n".join(lines), "block", _GLOBALS), shape
-
-
-class _Block:
-    """A block installed in one engine: its function, shape and counts."""
-
-    __slots__ = ("run", "length", "last", "pend", "shape", "costs", "runs", "cuts")
-
-    def __init__(self, run, shape: _Shape, costs: tuple):
-        self.run = run
-        self.length, self.last, self.pend = shape.length, shape.last, shape.pend
-        self.shape = shape
-        self.costs = costs
-        #: full runs, and ``cuts[k]``: exits after the first ``k`` instructions
-        self.runs = 0
-        self.cuts = [0] * shape.length
 
 
 class PredecodedEngine:
     """One fast run-to-halt executor bound to a :class:`~repro.core.cpu.CPU`.
 
-    Built fresh per ``run()`` call (translation is lazy and costs far less
-    than the millions of steps it serves), covering the address range
-    spanned by the loaded program's segments.
+    Covers the address range spanned by the loaded program's segments;
+    the machine's shell builds it and keeps it across ``run()`` calls.
     """
 
     def __init__(self, cpu):
@@ -371,24 +337,16 @@ class PredecodedEngine:
                 stats.cycles += count * self.costs[idx]
             stats.by_opcode[self.ops[idx]] += count
 
-    def _fold(self, block: _Block) -> None:
+    def _fold(self, block: blockcache.Block) -> None:
         """Fold one block's counted runs and exits into the CPU stats."""
-        stats = self.cpu.stats
-        traffic = self.cpu.memory.stats
-        # instruction i ran in every full run and every exit after it
-        executed = block.runs
-        shape = block.shape
-        for i in reversed(range(block.length)):
-            if executed:
-                stats.instructions += executed
-                stats.cycles += executed * block.costs[i]
-                stats.by_opcode[shape.ops[i]] += executed
-                traffic.inst_fetches += executed
-                traffic.data_reads += executed * shape.loads[i]
-                traffic.data_writes += executed * shape.stores[i]
-            executed += block.cuts[i]
-        block.runs = 0
-        block.cuts = [0] * block.length
+        stats, traffic, shape = self.cpu.stats, self.cpu.memory.stats, block.shape
+        for i, executed in block.ran():
+            stats.instructions += executed
+            stats.cycles += executed * block.costs[i]
+            stats.by_opcode[shape.ops[i]] += executed
+            traffic.inst_fetches += executed
+            traffic.data_reads += executed * shape.loads[i]
+            traffic.data_writes += executed * shape.stores[i]
 
     def _flush_all(self) -> None:
         for idx, count in enumerate(self.counts):
@@ -398,21 +356,22 @@ class PredecodedEngine:
             self._fold(block)
 
     def _note_write(self, address: int, width: int = 4) -> None:
-        """Invalidate the predecoded word covering a written address."""
+        """Invalidate the predecoded words a write of ``width`` bytes at
+        ``address`` covers, and the blocks over them."""
         offset = address - self.base
-        if 0 <= offset < self.span:
-            idx = offset >> 2
-            if self.handlers[idx] is not None:
-                self._flush(idx)
-                self.handlers[idx] = None
-                self.watch[idx] -= 1
-            if self.watch[idx]:
-                self._drop_blocks(idx)
+        if -width < offset < self.span:  # (window spills mostly miss)
+            for idx in range(max(offset, 0) >> 2, (min(offset + width, self.span) + 3) >> 2):
+                if self.handlers[idx] is not None:
+                    self._flush(idx)
+                    self.handlers[idx] = None
+                    self.watch[idx] -= 1
+                if self.watch[idx]:
+                    self._drop_blocks(idx)
 
     def _drop_blocks(self, idx: int) -> None:
         """Uninstall every block covering word ``idx``, folding its counts."""
         # a block holds at most MAX_BLOCK + 1 words
-        for head in range(max(idx - MAX_BLOCK, 0), idx + 1):
+        for head in range(max(idx - blockcache.MAX_BLOCK, 0), idx + 1):
             block = self.blocks[head]
             if block and idx < head + block.length:
                 self._fold(block)
@@ -456,7 +415,7 @@ class PredecodedEngine:
         words = len(self.handlers)
         address = self.base + (idx << 2)
         items: list = []
-        while idx < words and len(items) < MAX_BLOCK:
+        while idx < words and len(items) < blockcache.MAX_BLOCK:
             try:
                 inst = self._decoded(idx)
                 slot = None
@@ -481,8 +440,8 @@ class PredecodedEngine:
         return decode(int.from_bytes(self.cpu.memory._bytes[address : address + 4], "big"))
 
     def _promote(self, idx: int, visits: int):
-        """A head's second visit, or its :data:`PROMOTE`-th: returns its
-        block if its translation is cached, or once it is due."""
+        """A head's second visit, or its ``PROMOTE``-th: installs and
+        returns its block if :func:`blockcache.promote` has one."""
         items = self._shape(idx)
         if not items:
             self.blocks[idx] = False
@@ -491,12 +450,10 @@ class PredecodedEngine:
         start = items[0][0]
         key = ("risc1", start, bytes(memory._bytes[start : items[-1][0] + 4]),
                memory.size, self.base, self.span)
-        entry = blockcache.lookup(key)
+        entry = blockcache.promote(
+            key, visits, lambda: _translate(items, self.base, self.span, memory.size))
         if entry is None:
-            if visits < PROMOTE:
-                return None
-            entry = _translate(items, self.base, self.span, memory.size)
-            blockcache.store(key, entry)
+            return None
         run, shape = entry
         sink = self.cpu._sink
         if sink is not None:  # a measured run: its block records name these words
@@ -504,7 +461,8 @@ class PredecodedEngine:
             for i, (address, inst) in enumerate(items):
                 sink.describe(address, int.from_bytes(code[4 * i : 4 * i + 4], "big"), inst)
         timing = self.cpu.timing
-        block = _Block(run, shape, tuple(timing.instruction_cycles(op) for op in shape.ops))
+        costs = tuple(timing.instruction_cycles(op) for op in shape.ops)
+        block = blockcache.Block(run, shape, costs, shape.last, shape.pend)
         self.blocks[idx] = self.live[idx] = block
         for word in range(idx, idx + block.length):
             self.watch[word] += 1
@@ -565,7 +523,7 @@ class PredecodedEngine:
             width, signed = cpu._LOAD_SPEC[op]
             sign_bit = 1 << (width * 8 - 1)
             sign_span = 1 << (width * 8)
-            unpack = _STRUCTS[width].unpack_from
+            unpack = struct.Struct(_FORMATS[width]).unpack_from
 
             def run():
                 cwp = regs.cwp
@@ -588,7 +546,7 @@ class PredecodedEngine:
             width = cpu._STORE_SPEC[op]
             value_map = maps[dest]  # source operand; r0 reads physical 0 (= 0)
             value_mask = (1 << (width * 8)) - 1
-            pack = _STRUCTS[width].pack_into
+            pack = struct.Struct(_FORMATS[width]).pack_into
             code_base = self.base
             code_end = self.base + self.span
             note_write = self._note_write
@@ -695,8 +653,9 @@ class PredecodedEngine:
 
     # -- the run loop ------------------------------------------------------
 
-    def run(self, limit: int) -> None:
-        """Execute up to ``limit`` steps; raises on halt or trap.
+    def run(self, limit: int, observed: bool) -> None:
+        """Execute up to ``limit`` steps, ``observed`` or not; raises on
+        halt or trap.
 
         Returns normally only when the step budget ran out — the CPU's
         ``run()`` wrapper turns that into :class:`StepLimitExceeded`.
@@ -708,14 +667,7 @@ class PredecodedEngine:
         tracer = cpu.tracer
         trace_retire = cpu._trace_retire
         trace_trap = cpu._trace_trap
-        observed = self.observed = (
-            trace_retire
-            or cpu._trace_mem
-            or cpu._trace_flow
-            or cpu._trace_window
-            or trace_trap
-            or cpu.on_execute is not None
-        )
+        self.observed = observed
         handlers = self.handlers
         counts = self.counts
         costs = self.costs
@@ -735,7 +687,7 @@ class PredecodedEngine:
         blocks = self.blocks
         heat = self.heat
         promote = self._promote
-        promote_at = PROMOTE
+        promote_at = blockcache.PROMOTE
         regs = cpu.regs
         R = regs._regs
         rows = self.rows
@@ -746,8 +698,6 @@ class PredecodedEngine:
         last_pc = cpu._last_pc
         head = pc if hot else -1
         fetches = 0
-        previous_watch = memory.write_watch
-        memory.write_watch = self._note_write
         try:
             while limit > 0:
                 # a hot run keeps half its budget outside the batch: a
@@ -906,4 +856,3 @@ class PredecodedEngine:
             cpu._last_pc = last_pc
             memory.stats.inst_fetches += fetches
             self._flush_all()
-            memory.write_watch = previous_watch

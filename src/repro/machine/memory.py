@@ -59,9 +59,10 @@ class Memory:
         self._bytes = bytearray(size)
         self.stats = MemoryStats()
         #: Optional ``fn(address, width)`` called after every accounted
-        #: write.  Execution engines that predecode instruction memory
-        #: install an invalidator here so stores into code (self-modifying
-        #: programs, window spills over code, ...) flush stale decodings.
+        #: write and every :meth:`load_image`.  A machine's fast engine is
+        #: installed here while it lives, so writes into code (self-modifying
+        #: programs, window spills over code, images loaded between runs,
+        #: ...) drop stale translations.
         self.write_watch = None
 
     # -- raw access (no traffic accounting; used by loaders/tests) -----
@@ -70,6 +71,8 @@ class Memory:
         """Copy ``data`` into memory at ``address`` without accounting."""
         self._bounds(address, len(data))
         self._bytes[address : address + len(data)] = data
+        if self.write_watch is not None:
+            self.write_watch(address, len(data))
 
     def dump(self, address: int, length: int) -> bytes:
         """Read raw bytes without accounting."""

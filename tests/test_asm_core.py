@@ -89,6 +89,20 @@ def test_vax_branch_to_an_immediate_symbol_resolves_it():
     assert prog.symbols["__start"] + 3 + disp == prog.symbols["foo"]
 
 
+@pytest.mark.parametrize(
+    "operand", ["6(pc)", "-4(r15)", "pc", "r15", "(pc)", "-(pc)", "(pc)+", "1000(PC)"]
+)
+def test_vax_pc_is_not_a_general_register(operand):
+    """The PC is named only by immediate (``#``) and absolute (``@#``)
+    operands; anything else would encode a specifier the machine traps on."""
+    with pytest.raises(AssemblerError, match="PC is not a general register") as info:
+        assemble_vax(f"__start:\n halt\n movl {operand}, r0\n .long 77\n")
+    assert info.value.line == 3
+    with pytest.raises(AssemblerError) as info:
+        assemble_vax(f"__start:\n movl r0, {operand}\n halt\n")
+    assert info.value.line == 2
+
+
 def test_risc_set_of_a_later_equate_keeps_its_reserved_form():
     prog = assemble("main: set r1, K\n halt\n .equ K, 5\n")
     code = next(s for s in prog.segments if s.name == "code")

@@ -2,7 +2,7 @@
 
 ``repro.core.engine`` runs hot straight-line code as generated block
 functions over its per-word closures.  Each case here runs the fast
-engine twice — with :data:`repro.core.engine.PROMOTE` patched to 1, so
+engine twice — with :data:`repro.core.blockcache.PROMOTE` patched to 1, so
 every head is translated on its first visit, and at its default — and
 compares the result, the trap kind and PC, and the full ``snapshot()``
 (stats, registers, memory, ``pc``/``npc``/``last_pc``/pending) with the
@@ -43,10 +43,10 @@ from tests import test_engine_diff as diff
 from tests import test_retire_stream as retire
 
 
-@pytest.fixture(params=[1, engine.PROMOTE], ids=["promote1", "default"])
+@pytest.fixture(params=[1, blockcache.PROMOTE], ids=["promote1", "default"])
 def promote(request, monkeypatch):
-    """The promotion threshold of the run; returns it."""
-    monkeypatch.setattr(engine, "PROMOTE", request.param)
+    """The promotion threshold of the run, on both machines; returns it."""
+    monkeypatch.setattr(blockcache, "PROMOTE", request.param)
     return request.param
 
 
@@ -375,7 +375,7 @@ class TestBlockExits:
         # ``loop`` is MAX_BLOCK - 1 straight instructions, its jump and the
         # slot; code after the loop patches the slot, then reruns the loop
         program = assemble(LONGEST_BLOCK.format(adds="\n".join(
-            ["    add r6, r6, #2"] * (engine.MAX_BLOCK - 2))))
+            ["    add r6, r6, #2"] * (blockcache.MAX_BLOCK - 2))))
         assert assert_same(program)[0] == "halt"
         if promote == 1:
             assert tally["exits"]
@@ -416,7 +416,7 @@ class TestBlockExits:
             assert tally["runs"]
 
     def test_budget_bound_run_stays_on_the_block_tier(self, monkeypatch, tally):
-        monkeypatch.setattr(engine, "PROMOTE", 1)
+        monkeypatch.setattr(blockcache, "PROMOTE", 1)
         program = assemble(COUNTED_LOOP)
         assert assert_same(program, max_steps=250)[0] == "limit"
         # the per-word tier runs only the budget's last few steps
@@ -539,7 +539,7 @@ class TestMeasuredBlocks:
     "case", [case for case in retire.CHUNK_CASES if not case.startswith(("sweep/cisc", "vax"))]
 )
 def test_chunk_size_is_invisible_every_block(case, chunk, monkeypatch):
-    monkeypatch.setattr(engine, "PROMOTE", 1)
+    monkeypatch.setattr(blockcache, "PROMOTE", 1)
     retire.test_chunk_size_is_invisible(case, "fast", chunk, monkeypatch)
 
 
@@ -603,7 +603,7 @@ class TestSoup:
 
 
 def test_patched_program_never_runs_a_stale_block(monkeypatch):
-    monkeypatch.setattr(engine, "PROMOTE", 1)
+    monkeypatch.setattr(blockcache, "PROMOTE", 1)
     program = assemble(COUNTED_LOOP)
     first = assert_same(program)
     # the loop's `add r6, r6, r3` becomes `add r6, r6, #9`, same address
@@ -627,17 +627,17 @@ def _towers(target):
     return compile_program(ALL_WORKLOADS["towers"].source(), target=target).program
 
 
-#: each machine: its engine module, a differential check, a program
+#: each machine: a differential check, a program
 MACHINES = {
-    "risc1": (engine, assert_same, lambda: _towers("risc1")),
-    "cisc": (vengine, diff.assert_vax_identical, lambda: _towers("cisc")),
+    "risc1": (assert_same, lambda: _towers("risc1")),
+    "cisc": (diff.assert_vax_identical, lambda: _towers("cisc")),
 }
 
 
 @pytest.mark.parametrize("machine", sorted(MACHINES))
 def test_cache_is_bounded(machine, monkeypatch):
-    module, check, program = MACHINES[machine]
-    monkeypatch.setattr(module, "PROMOTE", 1)
+    check, program = MACHINES[machine]
+    monkeypatch.setattr(blockcache, "PROMOTE", 1)
     monkeypatch.setattr(blockcache, "CACHE_SIZE", 4)
     monkeypatch.setattr(blockcache, "_CACHE", type(blockcache._CACHE)())
     check(program())
@@ -664,8 +664,7 @@ def _yielding_exec(code, *namespaces):
 def test_engines_in_threads_share_the_cache(machine, monkeypatch):
     """Engines in several threads translate, look up and evict at once;
     each thread yields between a lookup or a definition and what follows."""
-    monkeypatch.setattr(engine, "PROMOTE", 1)
-    monkeypatch.setattr(vengine, "PROMOTE", 1)
+    monkeypatch.setattr(blockcache, "PROMOTE", 1)
     monkeypatch.setattr(blockcache, "CACHE_SIZE", 8)  # evictions race with lookups
     monkeypatch.setattr(blockcache, "_CACHE", _YieldingCache())
     monkeypatch.setattr(blockcache, "exec", _yielding_exec, raising=False)
@@ -709,8 +708,7 @@ def test_condition_table_matches_the_reference():
 class _EveryBlock:
     @pytest.fixture(autouse=True)
     def _promote_every_head(self, monkeypatch):
-        monkeypatch.setattr(engine, "PROMOTE", 1)
-        monkeypatch.setattr(vengine, "PROMOTE", 1)
+        monkeypatch.setattr(blockcache, "PROMOTE", 1)
 
 
 class TestWorkloadParityEveryBlock(_EveryBlock, diff.TestWorkloadParity):
@@ -727,18 +725,11 @@ class TestSnapshotRestoreEveryBlock(_EveryBlock, diff.TestSnapshotRestore):
 
 @pytest.mark.parametrize("case", sorted(case for case in retire.CASES if "risc" in case))
 def test_retire_stream_every_block(case, monkeypatch):
-    monkeypatch.setattr(engine, "PROMOTE", 1)
+    monkeypatch.setattr(blockcache, "PROMOTE", 1)
     retire.test_matches_golden(case, "fast")
 
 
 # -- the VAX block tier --------------------------------------------------------------
-
-
-@pytest.fixture(params=[1, vengine.PROMOTE], ids=["promote1", "default"])
-def vax_promote(request, monkeypatch):
-    """The VAX engine's promotion threshold of the run; returns it."""
-    monkeypatch.setattr(vengine, "PROMOTE", request.param)
-    return request.param
 
 
 @pytest.fixture
@@ -833,51 +824,51 @@ cells: .long 3, 5
 class TestVaxBlockExits:
     @pytest.mark.parametrize("bad", ["0x200000", "0x7F000010"])
     @pytest.mark.parametrize("at", ["read", "write"])
-    def test_bus_error_mid_block(self, vax_promote, vax_tally, at, bad):
+    def test_bus_error_mid_block(self, promote, vax_tally, at, bad):
         # the read faults through (r3); the write, with a safe read, too
         addend = "(r3)" if at == "read" else "#1"
         end, program = assert_vax_same(
             VAX_BAD_POINTER.replace("ADDEND", addend).replace("BAD", bad)
         )
         assert (end[0], end[1], end[3]) == ("trap", TrapKind.BUS_ERROR, program.symbol(at))
-        if vax_promote == 1:
+        if promote == 1:
             assert vax_tally["runs"] and vax_tally["exits"]
 
-    def test_mmio_store_mid_block(self, vax_promote, vax_tally):
+    def test_mmio_store_mid_block(self, promote, vax_tally):
         # every pointer is the console: each pass prints, the last traps
         source = VAX_BAD_POINTER.replace("ADDEND", "#65").replace("cell, ", "0x7F000000, ")
         end, program = assert_vax_same(source.replace("BAD", "0x200000"))
         assert end[:2] == ("trap", TrapKind.BUS_ERROR)
         # r6 is 65, 131, 197 and 263 at the four stores
         assert diff.run_vax(program, "reference")["console"] == "A\x83\xc5\x07"
-        if vax_promote == 1:
+        if promote == 1:
             assert vax_tally["exits"] >= 4
 
-    def test_divide_by_zero_mid_block(self, vax_promote, vax_tally):
+    def test_divide_by_zero_mid_block(self, promote, vax_tally):
         end, program = assert_vax_same(VAX_DIVIDE_BY_ZERO)
         assert (end[0], end[1], end[3]) == (
             "trap", TrapKind.ILLEGAL_INSTRUCTION, program.symbol("fault"))
-        if vax_promote == 1:
+        if promote == 1:
             assert vax_tally["runs"] and vax_tally["exits"]
 
-    def test_store_into_a_later_instruction_of_the_block(self, vax_promote, vax_tally):
+    def test_store_into_a_later_instruction_of_the_block(self, promote, vax_tally):
         end, _program = assert_vax_same(VAX_PATCH_LATER)
         # 6 passes of 3, plus the patched literals 6..1
         assert end[0] == "halt" and end[1]["exit_code"] == 6 * 3 + sum(range(1, 7))
-        if vax_promote == 1:
+        if promote == 1:
             assert vax_tally["exits"]
 
-    def test_budget_ends_inside_a_block(self, vax_promote, vax_tally):
+    def test_budget_ends_inside_a_block(self, promote, vax_tally):
         program = assemble_vax(VAX_COUNTED_LOOP)
         for budget in range(1, 130):
             reference = diff.assert_vax_identical(program, max_steps=budget)
             assert reference["outcome"][0] == "limit"
-        if vax_promote == 1:
+        if promote == 1:
             assert vax_tally["runs"]
 
     @pytest.mark.parametrize("chunk", [1, 7, 97])
     @pytest.mark.parametrize("name", ["VAX_COUNTED_LOOP", "towers"])
-    def test_run_split_over_many_calls(self, vax_promote, vax_tally, chunk, name):
+    def test_run_split_over_many_calls(self, promote, vax_tally, chunk, name):
         """Blocks kept across ``run()`` calls change nothing."""
         if name == "towers":
             program = diff.workload_program("towers", "cisc")
@@ -895,7 +886,7 @@ class TestVaxBlockExits:
         assert result.to_dict() == reference["outcome"][1]
         assert list(cpu.regs) == reference["regs"]
         assert (cpu.n, cpu.z, cpu.v, cpu.c) == reference["flags"]
-        if vax_promote == 1 and chunk > 7:
+        if promote == 1 and chunk > 7:
             assert vax_tally["runs"]
 
 
@@ -913,8 +904,8 @@ def test_vax_flag_rules_at_their_edges(m, monkeypatch):
             program = assemble_vax(
                 f"__start:\n movl #{a}, r1\n movl #{b}, r2\n {instruction}\n halt\n")
             reference = diff.run_vax(program, "reference")
-            for threshold in (1, vengine.PROMOTE):
-                monkeypatch.setattr(vengine, "PROMOTE", threshold)
+            for threshold in (1, blockcache.PROMOTE):
+                monkeypatch.setattr(blockcache, "PROMOTE", threshold)
                 assert diff.run_vax(program, "fast") == reference, (a, b)
 
 
@@ -1078,8 +1069,8 @@ class TestVaxSoup:
             used |= pairs
             program = assemble_vax(source)
             reference = diff.run_vax(program, "reference", max_steps=4000)
-            for threshold in (1, vengine.PROMOTE):
-                monkeypatch.setattr(vengine, "PROMOTE", threshold)
+            for threshold in (1, blockcache.PROMOTE):
+                monkeypatch.setattr(blockcache, "PROMOTE", threshold)
                 assert diff.run_vax(program, "fast", max_steps=4000) == reference, seed
             ends.add(reference["outcome"][0] if reference["outcome"][0] != "trap"
                      else reference["outcome"][1])
@@ -1103,7 +1094,7 @@ class TestVaxSoup:
 class _EveryVaxBlock:
     @pytest.fixture(autouse=True)
     def _promote_every_head(self, monkeypatch):
-        monkeypatch.setattr(vengine, "PROMOTE", 1)
+        monkeypatch.setattr(blockcache, "PROMOTE", 1)
 
 
 class TestVaxInstructionParityEveryBlock(_EveryVaxBlock, diff.TestVaxInstructionParity):

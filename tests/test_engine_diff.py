@@ -317,6 +317,17 @@ VAX_TRAPS = {
     "unknown_mmio": ("fault: movl #0, @#0x7F000010", TrapKind.BUS_ERROR, None),
     "illegal_opcode": ("fault: .byte 0xff", TrapKind.ILLEGAL_INSTRUCTION, None),
     "bad_specifier": ("fault: .byte 0xd0, 0x41, 0x51", TrapKind.ILLEGAL_INSTRUCTION, None),
+    # r15 is the PC: only immediate (8f) and absolute (9f) specifiers name it
+    "pc_register_read": ("fault: .byte 0xd0, 0x5f, 0x50", TrapKind.ILLEGAL_INSTRUCTION, None),
+    "pc_register_write": ("fault: .byte 0xd0, 0x51, 0x5f", TrapKind.ILLEGAL_INSTRUCTION, None),
+    "pc_deferred": ("fault: .byte 0xd0, 0x6f, 0x50", TrapKind.ILLEGAL_INSTRUCTION, None),
+    "pc_autodecrement": ("fault: .byte 0xd4, 0x7f", TrapKind.ILLEGAL_INSTRUCTION, None),
+    "pc_displacement": (  # movl 6(pc), r0
+        "fault: .byte 0xd0, 0xaf, 0x06, 0x50\n .long 77", TrapKind.ILLEGAL_INSTRUCTION, None
+    ),
+    "pc_word_displacement": (
+        "movl #1, r1\nfault: .byte 0xc0, 0x51, 0xcf, 0x00, 0x08", TrapKind.ILLEGAL_INSTRUCTION, None
+    ),
     "jmp_register": ("fault: jmp r1", TrapKind.ILLEGAL_INSTRUCTION, None),
     "calls_stack_overflow": (
         "movl #8, sp\nfault: calls #0, @#proc\nproc: .word 0\n ret",

@@ -1,16 +1,21 @@
 """Tests for the VAX-like baseline: assembler, addressing modes, flags,
-and the CALLS/RET procedure linkage."""
+and the CALLS/RET procedure linkage; and the fast engine's lifetime,
+which the machine shell keeps alike on both machines."""
 
 import gc
 import weakref
 
 import pytest
 
+from repro.asm.assembler import assemble
 from repro.baselines.vax.assembler import AssemblerError, assemble_vax, parse_operand
 from repro.baselines.vax.cpu import VaxCPU
 from repro.baselines.vax.isa import INSTRUCTIONS
 from repro.baselines.vax.timing import VaxTiming
+from repro.core import blockcache
 from repro.core.api import StepLimitExceeded
+from repro.core.cpu import CPU
+from tests import test_engine_diff as diff
 
 
 def run(source, **kwargs):
@@ -295,26 +300,122 @@ class TestTiming:
             assert info.kind in timing.base_cycles, info.mnemonic
 
 
+#: each machine: its CPU, its assembler, and sources that loop forever,
+#: halt with exit code 3, and count r1 up to ``{n}`` and exit with it
+LIFETIME = {
+    "risc1": (CPU, assemble, "main:\n add r1, r0, #1\nloop: jmp loop\n nop\n",
+              "main:\n add r6, r0, #3\n halt r6\n",
+              "main:\n add r1, r0, #0\nloop:\n add r1, r1, #1\n sub! r2, r1, #{n}\n"
+              " jne loop\n nop\n halt r1\n"),
+    "cisc": (VaxCPU, assemble_vax, "__start:\n movl #1, r0\nloop: brb loop\n",
+             f"__start:\n movl #3, r0\n {HALT}\n",
+             "__start:\n clrl r1\nloop: incl r1\n cmpl r1, #{n}\n bneq loop\n"
+             " movl r1, r0\n halt\n"),
+}
+
+
+def _translations(engine) -> list:
+    """The closures a fast engine holds, in PC order."""
+    handlers = engine.handlers  # a list by word on RISC I, a dict by PC on the VAX
+    return [h for h in (handlers.values() if isinstance(handlers, dict) else handlers) if h]
+
+
 class TestEngineLifetime:
+    """The machine shell keeps one fast engine across ``run()`` calls and
+    drops it at ``load()``, ``restore()``, a halt or a trap, and the start
+    of a measured run; its translations never outlive the bytes they
+    were made from."""
+
     def test_translations_survive_a_step_limit(self):
-        cpu = VaxCPU()
-        cpu.load(assemble_vax("__start:\n    movl #1, r0\nloop: brb loop\n"))
-        for _ in range(2):
-            with pytest.raises(StepLimitExceeded):
-                cpu.run(max_steps=10)
-            assert cpu._engine is not None and cpu._engine.translations
+        for machine, (make, asm, forever, _, _) in sorted(LIFETIME.items()):
+            cpu = make()
+            cpu.load(asm(forever))
+            held = []
+            for _ in range(2):
+                with pytest.raises(StepLimitExceeded):
+                    cpu.run(max_steps=10)
+                assert cpu._engine is not None and _translations(cpu._engine), machine
+                assert cpu.memory.write_watch == cpu._engine._note_write, machine
+                held.append((cpu._engine, _translations(cpu._engine)))
+            assert held[0][0] is held[1][0] and held[0][1] == held[1][1], machine
 
     def test_halted_machine_is_freed_without_the_cycle_collector(self):
         """A run that ends drops the translations, whose closures point
         back at the machine, so dropping the machine frees it."""
-        gc.disable()
-        try:
-            cpu = VaxCPU()
-            cpu.load(assemble_vax(f"__start:\n    movl #3, r0\n    {HALT}\n"))
-            assert cpu.run(engine="fast").exit_code == 3
-            assert cpu._engine is None
-            freed = weakref.ref(cpu)
-            del cpu
-            assert freed() is None
-        finally:
-            gc.enable()
+        for machine, (make, asm, _, halts, _) in sorted(LIFETIME.items()):
+            gc.disable()
+            try:
+                cpu = make()
+                cpu.load(asm(halts))
+                assert cpu.run(engine="fast").exit_code == 3, machine
+                assert cpu._engine is None and cpu.memory.write_watch is None, machine
+                freed = weakref.ref(cpu)
+                del cpu
+                assert freed() is None, machine
+            finally:
+                gc.enable()
+
+    @pytest.mark.parametrize("machine", sorted(LIFETIME))
+    @pytest.mark.parametrize("between", ["load", "restore"])
+    def test_load_or_restore_drops_the_engine(self, machine, between):
+        make, asm, forever, _, counts = LIFETIME[machine]
+        cpu = make()
+        cpu.load(asm(forever))
+        state = cpu.snapshot()
+        with pytest.raises(StepLimitExceeded):
+            cpu.run(max_steps=10)
+        assert cpu._engine is not None
+        if between == "load":
+            cpu.load(asm(counts.format(n=5)))
+        else:
+            cpu.restore(state)
+        assert cpu._engine is None and cpu.memory.write_watch is None
+        if between == "load":
+            assert cpu.run().exit_code == 5
+
+    @pytest.mark.parametrize("machine", sorted(LIFETIME))
+    @pytest.mark.parametrize("threshold", [1, 100])
+    @pytest.mark.parametrize("how", ["load_image", "write"])
+    def test_patch_between_runs_is_seen(self, machine, how, threshold, monkeypatch):
+        """An instruction that already ran is patched between two
+        step-limited runs, bypassing the machine (``load_image`` rewrites
+        the whole code segment, the patch past its first word): the fast
+        engine drops what it translated from the old bytes, as the
+        reference would."""
+        monkeypatch.setattr(blockcache, "PROMOTE", threshold)
+        make, asm, _, _, counts = LIFETIME[machine]
+        old, new = asm(counts.format(n=50)), asm(counts.format(n=20))
+        code = old.segments[0]
+        at = next(i for i, (a, b) in enumerate(zip(code.data, new.segments[0].data)) if a != b)
+        ends = {}
+        for engine in ("reference", "fast"):
+            cpu = make()
+            cpu.load(old)
+            with pytest.raises(StepLimitExceeded):
+                cpu.run(max_steps=20, engine=engine)
+            if how == "load_image":
+                cpu.memory.load_image(code.base, new.segments[0].data)
+            else:
+                cpu.memory.write(code.base + at, new.segments[0].data[at], 1)
+            ends[engine] = (cpu.run(engine=engine).exit_code, cpu.snapshot())
+        assert ends["fast"] == ends["reference"]
+        assert ends["fast"][0] == 20
+
+    @pytest.mark.parametrize("machine", sorted(LIFETIME))
+    @pytest.mark.parametrize("threshold", [1, 100])
+    def test_measured_run_after_an_unmeasured_one(self, machine, threshold, monkeypatch):
+        """A measured run that continues a fast, unmeasured one is told
+        about every word it runs: its pipeline stats are the reference's."""
+        monkeypatch.setattr(blockcache, "PROMOTE", threshold)
+        make = LIFETIME[machine][0]
+        program = diff.workload_program("towers", machine)
+        runs = {}
+        for engine in ("reference", "fast"):
+            cpu = make()
+            cpu.load(program)
+            with pytest.raises(StepLimitExceeded):
+                cpu.run(max_steps=3000, engine=engine)
+            result = cpu.run(engine=engine, uarch=True)
+            runs[engine] = (result.to_dict(), cpu.snapshot())
+        assert runs["fast"] == runs["reference"]
+        assert runs["fast"][0]["pipeline"]["instructions"] > 0
